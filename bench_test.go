@@ -7,6 +7,7 @@ package kanon
 // study; cmd/kanon-bench regenerates the quality tables.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -96,7 +97,7 @@ func BenchmarkE4Theorem31(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exact.Solve(inst.Table, 3, exact.Stars)
+		r, err := exact.SolveCtx(context.Background(), inst.Table, 3, exact.Stars, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,10 +131,10 @@ func BenchmarkE6Lemma41(b *testing.B) {
 	tab := dataset.Uniform(rand.New(rand.NewSource(4)), 12, 6, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.Solve(tab, 3, exact.Stars); err != nil {
+		if _, err := exact.SolveCtx(context.Background(), tab, 3, exact.Stars, nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exact.Solve(tab, 3, exact.DiameterSum); err != nil {
+		if _, err := exact.SolveCtx(context.Background(), tab, 3, exact.DiameterSum, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +158,7 @@ func BenchmarkE7PaperExamples(b *testing.B) {
 	example := relation.MustFromBitstrings("1010", "1110", "0110")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := generalize.Anonymize(tab, 2, scheme); err != nil {
+		if _, err := generalize.AnonymizeCtx(context.Background(), tab, 2, scheme, 1); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := algo.GreedyBall(example, 3, nil); err != nil {
@@ -201,7 +202,7 @@ func BenchmarkE8Baselines(b *testing.B) {
 	})
 	b.Run("pattern", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pattern.Anonymize(tab, k); err != nil {
+			if _, err := pattern.AnonymizeCtx(context.Background(), tab, k, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -267,13 +268,13 @@ func BenchmarkE10Ablations(b *testing.B) {
 		}
 	})
 	mat := metric.NewMatrix(tab)
-	sets, err := cover.Balls(mat, k, cover.WeightRadiusBound)
+	sets, err := cover.BallsCtx(context.Background(), mat, k, cover.WeightRadiusBound, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("greedy=lazy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cover.Greedy(tab.Len(), sets); err != nil {
+			if _, err := cover.GreedyCtx(context.Background(), tab.Len(), sets, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

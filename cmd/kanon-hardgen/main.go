@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if inst.Table.Len() > exact.MaxDPRows {
 				return fmt.Errorf("-solve needs n ≤ %d", exact.MaxDPRows)
 			}
-			r, err := exact.Solve(inst.Table, inst.K, exact.Stars)
+			r, err := exact.SolveCtx(context.Background(), inst.Table, inst.K, exact.Stars, nil)
 			if err != nil {
 				return err
 			}

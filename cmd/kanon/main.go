@@ -25,12 +25,9 @@ import (
 	"time"
 
 	"kanon"
-	"kanon/internal/core"
-	"kanon/internal/metric"
 	"kanon/internal/obs"
 	"kanon/internal/quality"
 	"kanon/internal/relation"
-	"kanon/internal/stream"
 )
 
 func main() {
@@ -178,7 +175,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if *block > 0 {
 		// The block path threads the span straight into the stream
 		// pipeline, so its per-block spans land under "anonymize".
-		res, err = streamAnonymize(ctx, header, rows, *k, *block, *refine, *workers, *kernelName, as, obs.NewEvents(logger, obs.NewRunID()))
+		res, _, err = kanon.AnonymizeBlocks(ctx, header, rows, *k, *block, &kanon.Options{
+			Kernel: kern, Refine: *refine, Workers: *workers, Span: as, Log: logger,
+		}, nil)
 	} else {
 		// The facade attaches its phase tree under this span directly,
 		// so the debug server and the progress ticker observe the run
@@ -330,39 +329,6 @@ func parseWeights(arg string, m int) ([]int, error) {
 		out[j] = w
 	}
 	return out, nil
-}
-
-// streamAnonymize runs the bounded-memory block pipeline and adapts its
-// output to the facade's Result shape; groups are recovered from the
-// released table's textual equivalence classes.
-func streamAnonymize(ctx context.Context, header []string, rows [][]string, k, block int, doRefine bool, workers int, kernelName string, sp *obs.Span, ev *obs.Events) (*kanon.Result, error) {
-	t := relation.NewTable(relation.NewSchema(header...))
-	for _, r := range rows {
-		if err := t.AppendStrings(r...); err != nil {
-			return nil, err
-		}
-	}
-	kern, err := metric.ParseChoice(kernelName)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := stream.Anonymize(t, k, &stream.Options{Ctx: ctx, BlockRows: block, Refine: doRefine, Workers: workers, Kernel: kern, Trace: sp, Log: ev})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, sr.Anonymized.Len())
-	for i := range out {
-		out[i] = sr.Anonymized.Strings(i)
-	}
-	groups := core.FromAnonymized(sr.Anonymized)
-	groups.Normalize()
-	return &kanon.Result{
-		K:      k,
-		Header: append([]string(nil), header...),
-		Rows:   out,
-		Groups: groups.Groups,
-		Cost:   sr.Cost,
-	}, nil
 }
 
 // measureQuality builds a relation table from the anonymized rows and

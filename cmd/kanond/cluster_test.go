@@ -209,11 +209,11 @@ func TestClusterFailoverByteIdentical(t *testing.T) {
 	medHeader, medRows := tableOf(dataset.Census(rand.New(rand.NewSource(84)), 300, 4))
 	smallHeader, smallRows := tableOf(dataset.Census(rand.New(rand.NewSource(85)), 20, 3))
 	type combo struct {
-		query        string
-		header       []string
-		rows         [][]string
-		k            int
-		opts         kanon.Options
+		query  string
+		header []string
+		rows   [][]string
+		k      int
+		opts   kanon.Options
 	}
 	combos := []combo{
 		{"k=3&algo=ball&kernel=dense", medHeader, medRows, 3,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 	fmt.Printf("matching solver: perfect matching = %v (edges %v)\n", matching != nil, matching)
 
 	// Side B: the anonymity solver.
-	r, err := exact.Solve(inst.Table, 3, exact.Stars)
+	r, err := exact.SolveCtx(context.Background(), inst.Table, 3, exact.Stars, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -62,7 +63,7 @@ func main() {
 	age.MustAdd("47", "40-60")
 	scheme := generalize.Scheme{generalize.Suppression(), last, age, generalize.Suppression()}
 
-	gres, err := generalize.Anonymize(tab, 2, scheme)
+	gres, err := generalize.AnonymizeCtx(context.Background(), tab, 2, scheme, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

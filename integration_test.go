@@ -7,6 +7,7 @@ package kanon
 // outputs vs verifier).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -89,11 +90,11 @@ func TestIntegrationExactConsistency(t *testing.T) {
 	for name, tab := range corpusTables(13) {
 		sub := tab.SubTable([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 		for _, k := range []int{2, 3} {
-			dp, err := exact.Solve(sub, k, exact.Stars)
+			dp, err := exact.SolveCtx(context.Background(), sub, k, exact.Stars, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bb, err := exact.BranchBound(sub, k, 0)
+			bb, err := exact.BranchBound(sub, k, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

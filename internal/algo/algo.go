@@ -54,9 +54,18 @@ type Options struct {
 	// zero value) picks dense below metric.AutoBitsetThreshold rows and
 	// the matrix-free bitset kernel at or above it; metric.Dense and
 	// metric.Bitset force a backend. Results are byte-identical for
-	// every choice — only time and memory change. The weighted variant
-	// ignores it (column weights need the dense matrix).
+	// every choice — only time and memory change. Ignored when Weights
+	// is set: the weighted metric is always a dense matrix.
 	Kernel metric.Choice
+	// Weights prices each column's suppressed entries; nil means all
+	// ones, the paper's objective. When set, the distance kernel is the
+	// dense weighted metric d_w(u, v) = Σ_j w_j·[u[j] ≠ v[j]], so the
+	// candidate sets are drawn and weighted under d_w, and
+	// Result.WeightedCost reports the weighted objective. The analysis
+	// survives weighting because d_w is still a metric (see
+	// internal/core's weighted.go): Theorem 4.2's guarantee becomes
+	// 6k(1 + ln W) with W the weighted degree Σ_j w_j.
+	Weights core.Weights
 	// Trace is the parent span phase spans and counters attach under;
 	// nil (the default) disables instrumentation at the cost of a nil
 	// check per span. Tracing never changes results.
@@ -86,8 +95,9 @@ type Result struct {
 	Suppressor *core.Suppressor
 	Anonymized *relation.Table
 	Cost       int
-	// WeightedCost is the column-weighted objective; set only by the
-	// *Weighted entry points (zero otherwise).
+	// WeightedCost is the column-weighted objective, Σ over starred
+	// entries of the column's weight; set only when Options.Weights is
+	// non-nil (zero otherwise).
 	WeightedCost int
 	Stats        Stats
 }
@@ -98,7 +108,7 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 		opt = &Options{}
 	}
 	ctx := opt.ctx()
-	if err := checkInstance(t, k); err != nil {
+	if err := checkInstance(t, k, opt.Weights); err != nil {
 		return nil, err
 	}
 	if r, done := trivialResult(t, k); done {
@@ -130,13 +140,14 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 	return finish(t, mat, k, chosen, opt, st)
 }
 
-// GreedyBall is the algorithm of Theorem 4.2.
+// GreedyBall is the algorithm of Theorem 4.2. With Options.Weights set
+// it runs under column-weighted suppression costs (see Weights).
 func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if opt == nil {
 		opt = &Options{}
 	}
 	ctx := opt.ctx()
-	if err := checkInstance(t, k); err != nil {
+	if err := checkInstance(t, k, opt.Weights); err != nil {
 		return nil, err
 	}
 	if r, done := trivialResult(t, k); done {
@@ -176,12 +187,13 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	return finish(t, mat, k, chosen, opt, st)
 }
 
-// buildKernel constructs the distance kernel selected by Options.Kernel
-// under the phase span, reporting the int16→int32 widening fallback of
-// the dense path as an anomaly event when it fires and counting which
-// backend ran. Construction polls the Options context (per row on the
-// dense fill, per row block on the bitset packing), so a cancelled run
-// aborts its heaviest phase promptly.
+// buildKernel constructs the distance kernel under the phase span: the
+// dense weighted matrix when Options.Weights is set, otherwise the
+// backend selected by Options.Kernel. It reports the int16→int32
+// widening fallback of the dense path as an anomaly event when it
+// fires and counts which backend ran. Construction polls the Options
+// context (per row on the dense fill, per row block on the bitset
+// packing), so a cancelled run aborts its heaviest phase promptly.
 func buildKernel(t *relation.Table, opt *Options) (metric.Kernel, error) {
 	opt.Log.PhaseStart("matrix")
 	var start time.Time
@@ -189,7 +201,13 @@ func buildKernel(t *relation.Table, opt *Options) (metric.Kernel, error) {
 		start = time.Now()
 	}
 	ms := opt.Trace.Start("algo.distance-matrix")
-	kern, err := metric.NewKernelCtx(opt.ctx(), t, opt.Kernel, opt.Workers)
+	var kern metric.Kernel
+	var err error
+	if opt.Weights != nil {
+		kern, err = core.WeightedMatrixCtx(opt.ctx(), t, opt.Weights, opt.Workers)
+	} else {
+		kern, err = metric.NewKernelCtx(opt.ctx(), t, opt.Kernel, opt.Workers)
+	}
 	ms.End()
 	if err != nil {
 		return nil, fmt.Errorf("algo: distance kernel: %w", err)
@@ -269,14 +287,18 @@ func finish(t *relation.Table, mat metric.Kernel, k int, chosen []cover.Set, opt
 	if !anon.IsKAnonymous(k) {
 		return nil, fmt.Errorf("algo: internal: output is not %d-anonymous", k)
 	}
-	return &Result{
+	res := &Result{
 		K:          k,
 		Partition:  p,
 		Suppressor: sup,
 		Anonymized: anon,
 		Cost:       sup.Stars(),
 		Stats:      st,
-	}, nil
+	}
+	if opt.Weights != nil {
+		res.WeightedCost = sup.WeightedStars(opt.Weights)
+	}
+	return res, nil
 }
 
 // ctx resolves the Options context, treating nil (and a nil receiver)
@@ -288,8 +310,9 @@ func (o *Options) ctx() context.Context {
 	return o.Ctx
 }
 
-// checkInstance validates the (t, k) input shared by all algorithms.
-func checkInstance(t *relation.Table, k int) error {
+// checkInstance validates the (t, k, weights) input shared by all
+// algorithms.
+func checkInstance(t *relation.Table, k int, w core.Weights) error {
 	if k < 1 {
 		return fmt.Errorf("algo: k = %d < 1", k)
 	}
@@ -298,6 +321,9 @@ func checkInstance(t *relation.Table, k int) error {
 	}
 	if t.Len() < k {
 		return fmt.Errorf("algo: table has %d rows, fewer than k = %d", t.Len(), k)
+	}
+	if err := w.Validate(t.Degree()); err != nil {
+		return fmt.Errorf("algo: %w", err)
 	}
 	return nil
 }

@@ -9,22 +9,13 @@ func init() {
 		Name:        "ball",
 		Description: "Theorem 4.2's strongly polynomial 6k(1+ln m) greedy",
 		Run: func(req solver.Request) (*solver.Result, error) {
-			if req.Weights != nil {
-				r, err := GreedyBallWeighted(req.Table, req.K, req.Weights, &Options{
-					Ctx: req.Ctx, SplitSorted: req.SplitSorted, Workers: req.Workers,
-					Trace: req.Trace, Log: req.Log,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return &solver.Result{Partition: r.Partition}, nil
-			}
 			r, err := GreedyBall(req.Table, req.K, &Options{
 				Ctx:                 req.Ctx,
 				SplitSorted:         req.SplitSorted,
 				TrueDiameterWeights: req.TrueDiameterWeights,
 				Workers:             req.Workers,
 				Kernel:              req.Kernel,
+				Weights:             req.Weights,
 				Trace:               req.Trace,
 				Log:                 req.Log,
 			})

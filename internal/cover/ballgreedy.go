@@ -11,10 +11,10 @@ import (
 	"kanon/internal/obs"
 )
 
-// GreedyBalls runs the greedy cover over the ball family without
+// GreedyBallsCtx runs the greedy cover over the ball family without
 // materializing it, which is what makes Theorem 4.2's algorithm scale.
-// It is exactly equivalent to Greedy(n, Balls(mat, k,
-// WeightRadiusBound)) (the tests cross-check costs) but stores at most
+// It is exactly equivalent to GreedyCtx over BallsCtx(mat, k,
+// WeightRadiusBound) (the tests cross-check costs) but stores at most
 // one sorted neighbor order per center, so memory is O(n²) small words
 // instead of O(n²) full member slices, and each round re-evaluates at
 // most a few centers. Under a matrix-free kernel not even the orders
@@ -26,34 +26,20 @@ import (
 // so is the center's best ratio. A priority queue keyed by last-known
 // best ratio therefore yields the true global minimum once the popped
 // center's recomputed key is no worse than the next key in the queue.
-func GreedyBalls(mat metric.Kernel, k int) ([]Set, error) {
-	return GreedyBallsParallel(mat, k, 0)
-}
-
-// GreedyBallsParallel is GreedyBalls with an explicit worker count (0
-// means all CPUs, 1 forces the sequential path). Only the neighbor-
-// order precomputation is sharded — the greedy selection loop is
-// inherently sequential — so the chosen cover is byte-identical for
-// every worker count.
-func GreedyBallsParallel(mat metric.Kernel, k, workers int) ([]Set, error) {
-	return GreedyBallsParallelTraced(mat, k, workers, nil)
-}
-
-// GreedyBallsParallelTraced is GreedyBallsParallel with instrumentation
-// under the given parent span: child spans for the two phases
-// ("cover.neighbor-order" precompute, "cover.greedy" selection loop)
-// and counters for greedy rounds run (cover.greedy_rounds), center
-// re-evaluations (cover.balls_considered), and sets picked
-// (cover.sets_picked). Tracing never changes the chosen cover.
-func GreedyBallsParallelTraced(mat metric.Kernel, k, workers int, sp *obs.Span) ([]Set, error) {
-	return GreedyBallsCtx(context.Background(), mat, k, workers, sp)
-}
-
-// GreedyBallsCtx is GreedyBallsParallelTraced with cancellation: the
-// context is checked once per center during the neighbor-order
-// precompute and once per selection round, so covers over large tables
-// abort promptly when the caller cancels or times out. The returned
-// error wraps ctx.Err().
+//
+// Only the neighbor-order precomputation and the initial evaluation
+// are sharded across workers (0 means all CPUs, 1 forces the
+// sequential path) — the greedy selection loop is inherently
+// sequential — so the chosen cover is byte-identical for every worker
+// count. The context is checked once per center during the precompute
+// and once per selection round, so covers over large tables abort
+// promptly when the caller cancels or times out; the returned error
+// wraps ctx.Err(). Instrumentation attaches under sp (nil disables it):
+// child spans for the two phases ("cover.neighbor-order" precompute,
+// "cover.greedy" selection loop) and counters for greedy rounds run
+// (cover.greedy_rounds), center re-evaluations
+// (cover.balls_considered), and sets picked (cover.sets_picked).
+// Tracing never changes the chosen cover.
 func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *obs.Span) ([]Set, error) {
 	n := mat.Len()
 	if k < 1 {
@@ -65,7 +51,7 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 
 	// Dense matrices cache one neighbor order per center (ord[c]: the
 	// other rows sorted by distance from c, ties by index, matching
-	// Balls for reproducible cross-checks) — the cache costs at most
+	// BallsCtx for reproducible cross-checks) — the cache costs at most
 	// the matrix's own O(n²) footprint again, and makes re-evaluations
 	// pure lookups. Matrix-free kernels skip the cache entirely: every
 	// center evaluation recomputes its distance row and order into

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -28,14 +29,14 @@ func BenchmarkBallsParallel(b *testing.B) {
 		mat := benchMatrix(b, n)
 		b.Run("seq/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BallsParallel(mat, 3, WeightRadiusBound, 1); err != nil {
+				if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("par/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BallsParallel(mat, 3, WeightRadiusBound, runtime.NumCPU()); err != nil {
+				if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, runtime.NumCPU(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,14 +50,14 @@ func BenchmarkGreedyBallsParallel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsParallel(mat, 3, 1); err != nil {
+			if _, err := GreedyBallsCtx(context.Background(), mat, 3, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("par", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsParallel(mat, 3, runtime.NumCPU()); err != nil {
+			if _, err := GreedyBallsCtx(context.Background(), mat, 3, runtime.NumCPU(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -70,7 +71,7 @@ func BenchmarkBallsKernel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
 	b.Run("countingsort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BallsParallel(mat, 3, WeightRadiusBound, 1); err != nil {
+			if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -91,14 +92,14 @@ func BenchmarkTrueDiameterIncremental(b *testing.B) {
 	mat := benchMatrix(b, 400)
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BallsParallel(mat, 3, WeightTrueDiameter, 1); err != nil {
+			if _, err := BallsCtx(context.Background(), mat, 3, WeightTrueDiameter, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("recompute-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sets, err := BallsParallel(mat, 3, WeightRadiusBound, 1)
+			sets, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

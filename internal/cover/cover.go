@@ -3,12 +3,20 @@
 // (Phase 1) and the Reduce procedure that converts the resulting cover
 // into a (k, ·)-partition with no increase in diameter sum (Phase 2).
 //
-// Two candidate families are provided. Exhaustive enumerates every
+// Two candidate families are provided. ExhaustiveCtx enumerates every
 // subset of V with cardinality in [k, 2k−1] (the collection C of
 // §4.2.1), which is what Theorem 4.1 runs greedy over and costs
-// O(|V|^{2k−1}) sets. Balls enumerates the collection D of §4.3 — the
-// sets S_{c,i} = {v : d(c, v) ≤ i} — which is strongly polynomial and
-// what Theorem 4.2 runs greedy over.
+// O(|V|^{2k−1}) sets. BallsCtx enumerates the collection D of §4.3 —
+// the sets S_{c,i} = {v : d(c, v) ≤ i} — which is strongly polynomial
+// and what Theorem 4.2 runs greedy over; GreedyBallsCtx runs the greedy
+// over D without materializing it.
+//
+// Each family and greedy has one entry point taking a context (polled
+// in the hot loops; a cancelled run returns an error wrapping
+// ctx.Err()), a worker count where the work shards (0 means all CPUs,
+// 1 the sequential path; output is identical for every count), and a
+// parent span for its instrumentation (nil disables it). Callers
+// without those needs pass context.Background(), 0 and nil.
 //
 // The greedy rule follows the paper exactly: repeatedly choose the set S
 // minimizing r(S) = weight(S) / |S ∩ (V − D)| where D is the covered
@@ -34,7 +42,7 @@ type Set struct {
 	Weight  int
 }
 
-// Greedy runs the paper's greedy rule over an explicit family and
+// GreedyCtx runs the paper's greedy rule over an explicit family and
 // returns the chosen sets in selection order. It returns an error if
 // the family cannot cover all n elements.
 //
@@ -43,25 +51,14 @@ type Set struct {
 // cover grows, r(S) is nondecreasing over time, so re-evaluating only
 // the popped set is exact, not heuristic (ablation E10 cross-checks
 // this against the naive full scan).
-func Greedy(n int, sets []Set) ([]Set, error) {
-	return GreedyTraced(n, sets, nil)
-}
-
-// GreedyTraced is Greedy with instrumentation attached under the given
-// parent span (nil disables it, at the cost of a nil check): a
-// "cover.greedy" span around the selection loop, and counters for
-// rounds run (cover.greedy_rounds) and sets picked (cover.sets_picked).
-// Tracing never changes the selection — the chosen cover is identical
-// with and without a span.
-func GreedyTraced(n int, sets []Set, sp *obs.Span) ([]Set, error) {
-	return GreedyCtx(context.Background(), n, sets, sp)
-}
-
-// GreedyCtx is GreedyTraced with cancellation: the context is checked
-// once per selection round, so long covers abort promptly when the
-// caller cancels or times out. The returned error wraps ctx.Err(), so
-// errors.Is(err, context.Canceled) works. Cancellation never corrupts
-// state — the partial cover is simply discarded.
+//
+// The context is checked once per selection round, so long covers
+// abort promptly when the caller cancels or times out; the returned
+// error wraps ctx.Err() and the partial cover is discarded.
+// Instrumentation attaches under sp (nil disables it, at the cost of a
+// nil check): a "cover.greedy" span around the selection loop, and
+// counters for rounds run (cover.greedy_rounds) and sets picked
+// (cover.sets_picked). Tracing never changes the selection.
 func GreedyCtx(ctx context.Context, n int, sets []Set, sp *obs.Span) ([]Set, error) {
 	gs := sp.Start("cover.greedy")
 	defer gs.End()
@@ -167,7 +164,7 @@ func (h *ratioHeap) Pop() any {
 }
 
 // GreedyNaive is the textbook implementation that rescans the whole
-// family every round. It exists to validate Greedy (they must select
+// family every round. It exists to validate GreedyCtx (they must select
 // identically under the same tie-breaking) and for the E10 ablation's
 // timing comparison.
 func GreedyNaive(n int, sets []Set) ([]Set, error) {

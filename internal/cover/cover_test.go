@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,7 +45,7 @@ func TestGreedySimple(t *testing.T) {
 		{Members: []int{2, 3}, Weight: 1},
 		{Members: []int{0, 1, 2, 3}, Weight: 100},
 	}
-	chosen, err := Greedy(4, sets)
+	chosen, err := GreedyCtx(context.Background(), 4, sets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestGreedyPrefersRatio(t *testing.T) {
 		{Members: []int{1}, Weight: 1},
 		{Members: []int{0, 1, 2, 3}, Weight: 3},
 	}
-	chosen, err := Greedy(4, sets)
+	chosen, err := GreedyCtx(context.Background(), 4, sets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func TestGreedyPrefersRatio(t *testing.T) {
 
 func TestGreedyUncoverable(t *testing.T) {
 	sets := []Set{{Members: []int{0, 1}, Weight: 1}}
-	if _, err := Greedy(3, sets); err == nil {
+	if _, err := GreedyCtx(context.Background(), 3, sets, nil); err == nil {
 		t.Error("Greedy covered element 2 with no candidate set")
 	}
-	if _, err := Greedy(1, nil); err == nil {
+	if _, err := GreedyCtx(context.Background(), 1, nil, nil); err == nil {
 		t.Error("Greedy succeeded with empty family")
 	}
 }
@@ -85,7 +86,7 @@ func TestGreedyZeroWeightFirst(t *testing.T) {
 		{Members: []int{0, 1}, Weight: 5},
 		{Members: []int{0, 1}, Weight: 0},
 	}
-	chosen, err := Greedy(2, sets)
+	chosen, err := GreedyCtx(context.Background(), 2, sets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestLazyMatchesNaive(t *testing.T) {
 				sets = append(sets, Set{Members: []int{v}, Weight: 3})
 			}
 		}
-		a, errA := Greedy(n, sets)
+		a, errA := GreedyCtx(context.Background(), n, sets, nil)
 		b, errB := GreedyNaive(n, sets)
 		if (errA == nil) != (errB == nil) {
 			return false
@@ -148,7 +149,7 @@ func TestExhaustiveFamily(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 7, 4, 2)
 	mat := metric.NewMatrix(tab)
-	sets, err := Exhaustive(mat, 2, 0)
+	sets, err := ExhaustiveCtx(context.Background(), mat, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestExhaustiveFamilyCaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tab := randomTable(rng, 30, 4, 2)
 	mat := metric.NewMatrix(tab)
-	if _, err := Exhaustive(mat, 3, 1000); err == nil {
+	if _, err := ExhaustiveCtx(context.Background(), mat, 3, 1000, nil); err == nil {
 		t.Error("Exhaustive ignored maxSets")
 	}
-	if _, err := Exhaustive(mat, 0, 0); err == nil {
+	if _, err := ExhaustiveCtx(context.Background(), mat, 0, 0, nil); err == nil {
 		t.Error("Exhaustive accepted k=0")
 	}
 	small := randomTable(rng, 2, 3, 2)
-	if _, err := Exhaustive(metric.NewMatrix(small), 3, 0); err == nil {
+	if _, err := ExhaustiveCtx(context.Background(), metric.NewMatrix(small), 3, 0, nil); err == nil {
 		t.Error("Exhaustive accepted n < k")
 	}
 }
@@ -199,7 +200,7 @@ func TestBinomial(t *testing.T) {
 func TestBallsFamily(t *testing.T) {
 	tab := relation.MustFromBitstrings("0000", "0001", "0011", "0111", "1111")
 	mat := metric.NewMatrix(tab)
-	sets, err := Balls(mat, 2, WeightRadiusBound)
+	sets, err := BallsCtx(context.Background(), mat, 2, WeightRadiusBound, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestBallsDedupDuplicateRows(t *testing.T) {
 	// 0, all rows) with weight 0.
 	tab := relation.MustFromVectors([][]int{{1, 1}, {1, 1}, {1, 1}})
 	mat := metric.NewMatrix(tab)
-	sets, err := Balls(mat, 2, WeightRadiusBound)
+	sets, err := BallsCtx(context.Background(), mat, 2, WeightRadiusBound, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestBallsTrueDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tab := randomTable(rng, 12, 5, 3)
 	mat := metric.NewMatrix(tab)
-	sets, err := Balls(mat, 3, WeightTrueDiameter)
+	sets, err := BallsCtx(context.Background(), mat, 3, WeightTrueDiameter, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +270,10 @@ func TestBallsTrueDiameter(t *testing.T) {
 func TestBallsErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
 	mat := metric.NewMatrix(tab)
-	if _, err := Balls(mat, 0, WeightRadiusBound); err == nil {
+	if _, err := BallsCtx(context.Background(), mat, 0, WeightRadiusBound, 0, nil); err == nil {
 		t.Error("Balls accepted k=0")
 	}
-	if _, err := Balls(mat, 3, WeightRadiusBound); err == nil {
+	if _, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 0, nil); err == nil {
 		t.Error("Balls accepted n < k")
 	}
 }
@@ -393,15 +394,15 @@ func TestGreedyBallsMatchesMaterialized(t *testing.T) {
 		tab := randomTable(rng, n, 5, 3)
 		mat := metric.NewMatrix(tab)
 
-		implicit, err := GreedyBalls(mat, k)
+		implicit, err := GreedyBallsCtx(context.Background(), mat, k, 0, nil)
 		if err != nil {
 			t.Fatalf("seed %d: GreedyBalls: %v", seed, err)
 		}
-		family, err := Balls(mat, k, WeightRadiusBound)
+		family, err := BallsCtx(context.Background(), mat, k, WeightRadiusBound, 0, nil)
 		if err != nil {
 			t.Fatalf("seed %d: Balls: %v", seed, err)
 		}
-		explicit, err := Greedy(n, family)
+		explicit, err := GreedyCtx(context.Background(), n, family, nil)
 		if err != nil {
 			t.Fatalf("seed %d: Greedy: %v", seed, err)
 		}
@@ -417,10 +418,10 @@ func TestGreedyBallsMatchesMaterialized(t *testing.T) {
 func TestGreedyBallsErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
 	mat := metric.NewMatrix(tab)
-	if _, err := GreedyBalls(mat, 0); err == nil {
+	if _, err := GreedyBallsCtx(context.Background(), mat, 0, 0, nil); err == nil {
 		t.Error("GreedyBalls accepted k=0")
 	}
-	if _, err := GreedyBalls(mat, 5); err == nil {
+	if _, err := GreedyBallsCtx(context.Background(), mat, 5, 0, nil); err == nil {
 		t.Error("GreedyBalls accepted n < k")
 	}
 }
@@ -435,7 +436,7 @@ func TestGreedyBallsCoversEverything(t *testing.T) {
 		}
 		tab := randomTable(rng, n, 4, 2)
 		mat := metric.NewMatrix(tab)
-		chosen, err := GreedyBalls(mat, k)
+		chosen, err := GreedyBallsCtx(context.Background(), mat, k, 0, nil)
 		if err != nil {
 			return false
 		}
@@ -486,11 +487,11 @@ func TestWitnessFamilyEqualsRadiusFamily(t *testing.T) {
 		}
 		tab := randomTable(rng, n, 4, 3)
 		mat := metric.NewMatrix(tab)
-		radius, err := Balls(mat, k, WeightRadiusBound)
+		radius, err := BallsCtx(context.Background(), mat, k, WeightRadiusBound, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		witness, err := BallsWitness(mat, k, WeightRadiusBound)
+		witness, err := BallsWitness(mat, k, WeightRadiusBound, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,10 +525,10 @@ func TestWitnessFamilyEqualsRadiusFamily(t *testing.T) {
 func TestBallsWitnessErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
 	mat := metric.NewMatrix(tab)
-	if _, err := BallsWitness(mat, 0, WeightRadiusBound); err == nil {
+	if _, err := BallsWitness(mat, 0, WeightRadiusBound, 0); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := BallsWitness(mat, 5, WeightRadiusBound); err == nil {
+	if _, err := BallsWitness(mat, 5, WeightRadiusBound, 0); err == nil {
 		t.Error("accepted n < k")
 	}
 }
@@ -584,11 +585,11 @@ func TestLemma43BallCoverWithinTwiceOptimal(t *testing.T) {
 		}
 		tab := randomTable(rng, n, 3+rng.Intn(4), 2+rng.Intn(2))
 		mat := metric.NewMatrix(tab)
-		exFam, err := Exhaustive(mat, k, 0)
+		exFam, err := ExhaustiveCtx(context.Background(), mat, k, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ballFam, err := Balls(mat, k, WeightTrueDiameter)
+		ballFam, err := BallsCtx(context.Background(), mat, k, WeightTrueDiameter, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

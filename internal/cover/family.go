@@ -9,27 +9,19 @@ import (
 	"kanon/internal/obs"
 )
 
-// Exhaustive builds the paper's collection C: every subset of {0..n−1}
-// with cardinality in [k, 2k−1], weighted by its true diameter. The
-// family has Σ_{s=k}^{2k−1} C(n, s) sets; maxSets guards against
-// accidental blow-ups (pass 0 for the default of 5 million). Use the
-// ball family when this errors — that trade-off is exactly the paper's
-// §4.3.
-func Exhaustive(mat metric.Kernel, k, maxSets int) ([]Set, error) {
-	return ExhaustiveTraced(mat, k, maxSets, nil)
-}
-
-// ExhaustiveTraced is Exhaustive with instrumentation under the given
-// parent span: a "cover.family.exhaustive" span around the enumeration
-// and a cover.sets_generated counter for the candidate sets emitted.
-func ExhaustiveTraced(mat metric.Kernel, k, maxSets int, sp *obs.Span) ([]Set, error) {
-	return ExhaustiveCtx(context.Background(), mat, k, maxSets, sp)
-}
-
-// ExhaustiveCtx is ExhaustiveTraced with cancellation: the context is
-// polled every 1024 enumerated sets, so the O(|V|^{2k−1}) enumeration
-// aborts promptly when the caller cancels or times out. The returned
-// error wraps ctx.Err().
+// ExhaustiveCtx builds the paper's collection C: every subset of
+// {0..n−1} with cardinality in [k, 2k−1], weighted by its true
+// diameter. The family has Σ_{s=k}^{2k−1} C(n, s) sets; maxSets guards
+// against accidental blow-ups (pass 0 for the default of 5 million).
+// Use the ball family when this errors — that trade-off is exactly the
+// paper's §4.3.
+//
+// The context is polled every 1024 enumerated sets, so the
+// O(|V|^{2k−1}) enumeration aborts promptly when the caller cancels or
+// times out; the returned error wraps ctx.Err(). Instrumentation
+// attaches under sp (nil disables it): a "cover.family.exhaustive" span
+// around the enumeration and a cover.sets_generated counter for the
+// candidate sets emitted.
 func ExhaustiveCtx(ctx context.Context, mat metric.Kernel, k, maxSets int, sp *obs.Span) ([]Set, error) {
 	fs := sp.Start("cover.family.exhaustive")
 	defer fs.End()
@@ -130,16 +122,12 @@ const (
 // are identical once degenerate radii are removed, so the advice is
 // moot — this constructor exists to substantiate that claim and for the
 // E10 ablation.
-func BallsWitness(mat metric.Kernel, k int, w BallWeight) ([]Set, error) {
-	return BallsWitnessParallel(mat, k, w, 0)
-}
-
-// BallsWitnessParallel is BallsWitness with an explicit worker count (0
-// means all CPUs, 1 forces the sequential path). Centers are
-// independent, so per-center results are computed concurrently and
+//
+// Centers are independent, so per-center results are computed across
+// workers (0 means all CPUs, 1 forces the sequential path) and
 // concatenated in center order — the output is identical for every
 // worker count.
-func BallsWitnessParallel(mat metric.Kernel, k int, w BallWeight, workers int) ([]Set, error) {
+func BallsWitness(mat metric.Kernel, k int, w BallWeight, workers int) ([]Set, error) {
 	n := mat.Len()
 	if k < 1 {
 		return nil, fmt.Errorf("cover: k = %d < 1", k)
@@ -162,7 +150,7 @@ func BallsWitnessParallel(mat metric.Kernel, k int, w BallWeight, workers int) (
 				continue
 			}
 			// Effective radius: largest realized distance within the
-			// ball (matches Balls' weight convention).
+			// ball (matches BallsCtx's weight convention).
 			eff := 0
 			for _, v := range members {
 				if d := mat.Dist(c, v); d > eff {
@@ -201,7 +189,7 @@ func mergeCenters(perCenter [][]Set) []Set {
 	return sets
 }
 
-// Balls builds the paper's collection D: for every center c ∈ V, the
+// BallsCtx builds the paper's collection D: for every center c ∈ V, the
 // distinct balls S_{c,i} with at least k members.
 //
 // Only radii at which a ball actually grows are emitted, so the family
@@ -212,32 +200,18 @@ func mergeCenters(perCenter [][]Set) []Set {
 // and enumerating witnesses c' produce the same sets. The paper's advice
 // to "substitute whichever collection is smaller" is therefore moot
 // after deduplication — E10 confirms.
-func Balls(mat metric.Kernel, k int, w BallWeight) ([]Set, error) {
-	return BallsParallel(mat, k, w, 0)
-}
-
-// BallsParallel is Balls with an explicit worker count (0 means all
-// CPUs, 1 forces the sequential path). Each center's balls are built by
-// the counting-sort radius kernel (ballsForCenter) on one worker; the
-// per-center results are concatenated in center order, so the family is
-// byte-identical for every worker count.
-func BallsParallel(mat metric.Kernel, k int, w BallWeight, workers int) ([]Set, error) {
-	return BallsParallelTraced(mat, k, w, workers, nil)
-}
-
-// BallsParallelTraced is BallsParallel with instrumentation under the
-// given parent span: a "cover.family.balls" span around the per-center
+//
+// Each center's balls are built by the counting-sort radius kernel
+// (ballsForCenter) on one worker (workers: 0 means all CPUs, 1 forces
+// the sequential path); the per-center results are concatenated in
+// center order, so the family is byte-identical for every worker
+// count. The context is checked once per center, so construction over
+// large tables aborts promptly when the caller cancels or times out;
+// the returned error wraps ctx.Err(). Instrumentation attaches under sp
+// (nil disables it): a "cover.family.balls" span around the per-center
 // construction and a cover.sets_generated counter for the Lemma 4.2
 // candidate balls emitted. The family is identical with and without a
 // span.
-func BallsParallelTraced(mat metric.Kernel, k int, w BallWeight, workers int, sp *obs.Span) ([]Set, error) {
-	return BallsCtx(context.Background(), mat, k, w, workers, sp)
-}
-
-// BallsCtx is BallsParallelTraced with cancellation: the context is
-// checked once per center, so family construction over large tables
-// aborts promptly when the caller cancels or times out. The returned
-// error wraps ctx.Err().
 func BallsCtx(ctx context.Context, mat metric.Kernel, k int, w BallWeight, workers int, sp *obs.Span) ([]Set, error) {
 	fs := sp.Start("cover.family.balls")
 	defer fs.End()

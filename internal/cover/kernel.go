@@ -108,7 +108,7 @@ func countingSortCutoff(n int) int {
 }
 
 // ballsForCenter emits the distinct balls S_{c,·} with at least k
-// members, in growing-radius order — the per-center unit of work Balls
+// members, in growing-radius order — the per-center unit of work BallsCtx
 // shards across the worker pool.
 //
 // A ball's member list is materialized by one O(n) threshold scan of

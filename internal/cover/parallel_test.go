@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -21,12 +22,12 @@ func TestBallsParallelDeterministic(t *testing.T) {
 				tab := dataset.Census(rng, n, 6)
 				mat := metric.NewMatrix(tab)
 				for _, w := range []BallWeight{WeightRadiusBound, WeightTrueDiameter} {
-					seq, err := BallsParallel(mat, k, w, 1)
+					seq, err := BallsCtx(context.Background(), mat, k, w, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{0, 2, 4, 7} {
-						par, err := BallsParallel(mat, k, w, workers)
+						par, err := BallsCtx(context.Background(), mat, k, w, workers, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -45,12 +46,12 @@ func TestBallsWitnessParallelDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := dataset.Census(rng, 60, 6)
 		mat := metric.NewMatrix(tab)
-		seq, err := BallsWitnessParallel(mat, 3, WeightRadiusBound, 1)
+		seq, err := BallsWitness(mat, 3, WeightRadiusBound, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 3, 5} {
-			par, err := BallsWitnessParallel(mat, 3, WeightRadiusBound, workers)
+			par, err := BallsWitness(mat, 3, WeightRadiusBound, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,12 +69,12 @@ func TestGreedyBallsParallelDeterministic(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				tab := dataset.Census(rng, n, 6)
 				mat := metric.NewMatrix(tab)
-				seq, err := GreedyBallsParallel(mat, k, 1)
+				seq, err := GreedyBallsCtx(context.Background(), mat, k, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{0, 2, 6} {
-					par, err := GreedyBallsParallel(mat, k, workers)
+					par, err := GreedyBallsCtx(context.Background(), mat, k, workers, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,11 +142,11 @@ func TestBallsOnWideMetric(t *testing.T) {
 	if !mat.Wide() {
 		t.Fatal("expected wide storage")
 	}
-	seq, err := BallsParallel(mat, 3, WeightRadiusBound, 1)
+	seq, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BallsParallel(mat, 3, WeightRadiusBound, 4)
+	par, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestIncrementalDiameterMatchesRecompute(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tab := dataset.Uniform(rng, 50, 5, 4)
 		mat := metric.NewMatrix(tab)
-		sets, err := Balls(mat, 3, WeightTrueDiameter)
+		sets, err := BallsCtx(context.Background(), mat, 3, WeightTrueDiameter, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,13 +18,13 @@ func TestTraceDeterministicCover(t *testing.T) {
 	tab := dataset.Planted(rand.New(rand.NewSource(5)), 200, 6, 5, 3, 1)
 	mat := metric.NewMatrix(tab)
 
-	plain, err := GreedyBallsParallel(mat, 3, 4)
+	plain, err := GreedyBallsCtx(context.Background(), mat, 3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.New()
 	root := tr.Start("test")
-	traced, err := GreedyBallsParallelTraced(mat, 3, 4, root)
+	traced, err := GreedyBallsCtx(context.Background(), mat, 3, 4, root)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -42,13 +43,13 @@ func TestTraceDeterministicCover(t *testing.T) {
 	}
 
 	// The explicit-family path must be just as oblivious.
-	famPlain, err := BallsParallel(mat, 3, WeightRadiusBound, 4)
+	famPlain, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr2 := obs.New()
 	root2 := tr2.Start("test")
-	famTraced, err := BallsParallelTraced(mat, 3, WeightRadiusBound, 4, root2)
+	famTraced, err := BallsCtx(context.Background(), mat, 3, WeightRadiusBound, 4, root2)
 	root2.End()
 	if err != nil {
 		t.Fatal(err)

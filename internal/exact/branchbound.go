@@ -25,14 +25,11 @@ import (
 // remaining cost (each row's group must contain k−1 other rows, though
 // possibly already-assigned ones — hence the global, not residual,
 // (k−1)-NN distance is used).
-func BranchBound(t *relation.Table, k int, maxNodes int64) (*Result, error) {
-	return BranchBoundTraced(t, k, maxNodes, nil)
-}
-
-// BranchBoundTraced is BranchBound with instrumentation under the given
-// parent span: an "exact.branch-bound" span and an exact.nodes counter
-// for search nodes expanded (the same quantity Result.Nodes reports).
-func BranchBoundTraced(t *relation.Table, k int, maxNodes int64, sp *obs.Span) (*Result, error) {
+//
+// Instrumentation attaches under sp (nil disables it): an
+// "exact.branch-bound" span and an exact.nodes counter for search
+// nodes expanded (the same quantity Result.Nodes reports).
+func BranchBound(t *relation.Table, k int, maxNodes int64, sp *obs.Span) (*Result, error) {
 	bs := sp.Start("exact.branch-bound")
 	defer bs.End()
 	n := t.Len()

@@ -49,26 +49,18 @@ type Result struct {
 	Nodes int64
 }
 
-// Solve computes the optimal value and an optimal (k, 2k−1)-partition by
-// dynamic programming over subsets. It errors if n > MaxDPRows or the
-// instance is infeasible (n < k).
-func Solve(t *relation.Table, k int, obj Objective) (*Result, error) {
-	return SolveTraced(t, k, obj, nil)
-}
-
-// SolveTraced is Solve with instrumentation under the given parent
-// span: an "exact.dp" span around the DP plus counters for candidate
-// groups costed (exact.groups_costed) and DP states expanded
-// (exact.dp_masks). Tracing never changes the computed optimum.
-func SolveTraced(t *relation.Table, k int, obj Objective, sp *obs.Span) (*Result, error) {
-	return SolveCtx(context.Background(), t, k, obj, sp)
-}
-
-// SolveCtx is SolveTraced with cancellation: the context is polled
-// every 4096 DP states (and every 1024 candidate groups during the
-// cost precompute), so the exponential solve — the NP-hard step a
-// server must be able to bound — aborts promptly when the caller
-// cancels or times out. The returned error wraps ctx.Err().
+// SolveCtx computes the optimal value and an optimal
+// (k, 2k−1)-partition by dynamic programming over subsets. It errors
+// if n > MaxDPRows or the instance is infeasible (n < k).
+//
+// The context is polled every 4096 DP states (and every 1024 candidate
+// groups during the cost precompute), so the exponential solve — the
+// NP-hard step a server must be able to bound — aborts promptly when
+// the caller cancels or times out; the returned error wraps ctx.Err().
+// Instrumentation attaches under sp (nil disables it): an "exact.dp"
+// span around the DP plus counters for candidate groups costed
+// (exact.groups_costed) and DP states expanded (exact.dp_masks).
+// Tracing never changes the computed optimum.
 func SolveCtx(ctx context.Context, t *relation.Table, k int, obj Objective, sp *obs.Span) (*Result, error) {
 	n := t.Len()
 	if k < 1 {
@@ -84,7 +76,7 @@ func SolveCtx(ctx context.Context, t *relation.Table, k int, obj Objective, sp *
 	return solveCost(ctx, t, k, groupCostFunc(t, mat, obj), sp)
 }
 
-// solveCost is the DP core shared by Solve and SolveWeighted; the
+// solveCost is the DP core shared by SolveCtx and SolveWeightedCtx; the
 // caller has validated (t, k) against MaxDPRows already or delegates
 // here directly for the weighted path.
 func solveCost(ctx context.Context, t *relation.Table, k int, groupCost func([]int) int, sp *obs.Span) (*Result, error) {
@@ -253,30 +245,20 @@ func maskMembers(mask int) []int {
 	return out
 }
 
-// OPT is shorthand for Solve(t, k, Stars).Value — the paper's OPT(V).
+// OPT is shorthand for SolveCtx(ctx, t, k, Stars, nil).Value — the
+// paper's OPT(V), never cancelled.
 func OPT(t *relation.Table, k int) (int, error) {
-	r, err := Solve(t, k, Stars)
+	r, err := SolveCtx(context.Background(), t, k, Stars, nil)
 	if err != nil {
 		return 0, err
 	}
 	return r.Value, nil
 }
 
-// SolveWeighted is Solve with column-weighted star costs: group S costs
-// Σ over non-uniform columns j of |S|·w_j (core.AnonWeighted). A nil
-// weight vector reduces to Solve(t, k, Stars).
-func SolveWeighted(t *relation.Table, k int, w core.Weights) (*Result, error) {
-	return SolveWeightedTraced(t, k, w, nil)
-}
-
-// SolveWeightedTraced is SolveWeighted with instrumentation under the
-// given parent span (see SolveTraced).
-func SolveWeightedTraced(t *relation.Table, k int, w core.Weights, sp *obs.Span) (*Result, error) {
-	return SolveWeightedCtx(context.Background(), t, k, w, sp)
-}
-
-// SolveWeightedCtx is SolveWeightedTraced with cancellation (see
-// SolveCtx for the polling granularity).
+// SolveWeightedCtx is SolveCtx with column-weighted star costs: group
+// S costs Σ over non-uniform columns j of |S|·w_j (core.AnonWeighted).
+// A nil weight vector reduces to SolveCtx(ctx, t, k, Stars, sp). The
+// polling granularity and the spans emitted are SolveCtx's.
 func SolveWeightedCtx(ctx context.Context, t *relation.Table, k int, w core.Weights, sp *obs.Span) (*Result, error) {
 	if err := w.Validate(t.Degree()); err != nil {
 		return nil, fmt.Errorf("exact: %w", err)

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,7 +75,7 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		}
 		tab := randomTable(rng, n, 3, 2)
 		for _, obj := range []Objective{Stars, DiameterSum} {
-			r, err := Solve(tab, k, obj)
+			r, err := SolveCtx(context.Background(), tab, k, obj, nil)
 			if err != nil {
 				t.Fatalf("trial %d: Solve: %v", trial, err)
 			}
@@ -120,7 +121,7 @@ func TestSolveKnownInstances(t *testing.T) {
 		t.Errorf("OPT(duplicated, 2) = %d, want 0", v)
 	}
 	// Diameter-sum objective on the same: min diameter sum 0.
-	r, err := Solve(dup, 2, DiameterSum)
+	r, err := SolveCtx(context.Background(), dup, 2, DiameterSum, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +132,14 @@ func TestSolveKnownInstances(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
-	if _, err := Solve(tab, 0, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), tab, 0, Stars, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Solve(tab, 3, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), tab, 3, Stars, nil); err == nil {
 		t.Error("accepted n < k")
 	}
 	big := randomTable(rand.New(rand.NewSource(1)), MaxDPRows+1, 2, 2)
-	if _, err := Solve(big, 2, Stars); err == nil {
+	if _, err := SolveCtx(context.Background(), big, 2, Stars, nil); err == nil {
 		t.Error("accepted n > MaxDPRows")
 	}
 }
@@ -154,7 +155,7 @@ func TestSolveInfeasibleSizeGap(t *testing.T) {
 	for k := 2; k <= 4; k++ {
 		for n := k; n <= 12; n++ {
 			tab := randomTable(rng, n, 3, 2)
-			if _, err := Solve(tab, k, Stars); err != nil {
+			if _, err := SolveCtx(context.Background(), tab, k, Stars, nil); err != nil {
 				t.Errorf("n=%d k=%d: %v", n, k, err)
 			}
 		}
@@ -167,11 +168,11 @@ func TestBranchBoundMatchesDP(t *testing.T) {
 		k := 2 + rng.Intn(2)
 		n := k + rng.Intn(10)
 		tab := randomTable(rng, n, 4, 3)
-		dp, err := Solve(tab, k, Stars)
+		dp, err := SolveCtx(context.Background(), tab, k, Stars, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := BranchBound(tab, k, 0)
+		bb, err := BranchBound(tab, k, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestBranchBoundMatchesDP(t *testing.T) {
 func TestBranchBoundBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tab := randomTable(rng, 16, 6, 4)
-	r, err := BranchBound(tab, 3, 50)
+	r, err := BranchBound(tab, 3, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +206,10 @@ func TestBranchBoundBudget(t *testing.T) {
 
 func TestBranchBoundErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
-	if _, err := BranchBound(tab, 0, 0); err == nil {
+	if _, err := BranchBound(tab, 0, 0, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := BranchBound(tab, 3, 0); err == nil {
+	if _, err := BranchBound(tab, 3, 0, nil); err == nil {
 		t.Error("accepted n < k")
 	}
 }

@@ -241,19 +241,15 @@ func Distance(t *relation.Table, s Scheme, i, j int) int {
 	return d
 }
 
-// Anonymize groups rows with the paper's ball-greedy cover under the
-// generalization metric and generalizes each group, yielding a
+// AnonymizeCtx groups rows with the paper's ball-greedy cover under
+// the generalization metric and generalizes each group, yielding a
 // k-anonymous generalized release.
-func Anonymize(t *relation.Table, k int, s Scheme) (*Result, error) {
-	return AnonymizeCtx(context.Background(), t, k, s, 1)
-}
-
-// AnonymizeCtx is Anonymize with cancellation and parallelism: the
-// O(n²) hierarchy-distance matrix fill polls ctx per row and shards
-// rows across workers (0 means all CPUs), and the greedy cover polls
-// per round, so a cancelled run aborts promptly. The release is
-// byte-identical for every worker count; a non-nil error wraps
-// ctx.Err().
+//
+// The O(n²) hierarchy-distance matrix fill polls ctx per row and
+// shards rows across workers (0 means all CPUs, 1 the sequential
+// path), and the greedy cover polls per round, so a cancelled run
+// aborts promptly. The release is byte-identical for every worker
+// count; a non-nil error wraps ctx.Err().
 func AnonymizeCtx(ctx context.Context, t *relation.Table, k int, s Scheme, workers int) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("generalize: k = %d < 1", k)

@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -179,7 +180,7 @@ func TestHospitalExample(t *testing.T) {
 // generalization metric should recover the paper's grouping on its own.
 func TestAnonymizeFindsHospitalGrouping(t *testing.T) {
 	tab, scheme := hospital()
-	r, err := Anonymize(tab, 2, scheme)
+	r, err := AnonymizeCtx(context.Background(), tab, 2, scheme, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +212,20 @@ func TestApplyValidation(t *testing.T) {
 
 func TestAnonymizeErrors(t *testing.T) {
 	tab, scheme := hospital()
-	if _, err := Anonymize(tab, 0, scheme); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 0, scheme, 1); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Anonymize(tab, 9, scheme); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 9, scheme, 1); err == nil {
 		t.Error("accepted n < k")
 	}
-	if _, err := Anonymize(tab, 2, scheme[:2]); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 2, scheme[:2], 1); err == nil {
 		t.Error("accepted wrong-length scheme")
 	}
 }
 
 func TestAnonymizeK1(t *testing.T) {
 	tab, scheme := hospital()
-	r, err := Anonymize(tab, 1, scheme)
+	r, err := AnonymizeCtx(context.Background(), tab, 1, scheme, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestAnonymizeRandomHierarchies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := Anonymize(tab, 3, Scheme{h, h, h})
+	r, err := AnonymizeCtx(context.Background(), tab, 3, Scheme{h, h, h}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

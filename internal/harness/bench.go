@@ -11,6 +11,7 @@ package harness
 // executed on machines of different speeds.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -152,7 +153,7 @@ func benchSpecs() []benchSpec {
 			for j := range w {
 				w[j] = 1 + j%3
 			}
-			r, err := algo.GreedyBallWeighted(t, k, w, &algo.Options{Workers: workers})
+			r, err := algo.GreedyBall(t, k, &algo.Options{Weights: w, Workers: workers})
 			if err != nil {
 				return 0, err
 			}
@@ -166,14 +167,14 @@ func benchSpecs() []benchSpec {
 			return r.Cost, nil
 		}},
 		{name: "pattern", n: 800, m: 10, k: 3, quickN: 200, run: func(t *relation.Table, k, workers int, kern metric.Choice) (int, error) {
-			r, err := pattern.Anonymize(t, k)
+			r, err := pattern.AnonymizeCtx(context.Background(), t, k, nil)
 			if err != nil {
 				return 0, err
 			}
 			return r.Cost, nil
 		}},
 		{name: "exact_dp", n: 18, m: 5, k: 3, quickN: 14, run: func(t *relation.Table, k, workers int, kern metric.Choice) (int, error) {
-			r, err := exact.Solve(t, k, exact.Stars)
+			r, err := exact.SolveCtx(context.Background(), t, k, exact.Stars, nil)
 			if err != nil {
 				return 0, err
 			}

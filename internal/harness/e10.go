@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -85,7 +86,7 @@ func runE10(cfg Config) ([]*Table, error) {
 
 				// Reduce effect, measured directly on the cover.
 				mat := metric.NewMatrix(tab)
-				chosen, err := cover.GreedyBalls(mat, k)
+				chosen, err := cover.GreedyBallsCtx(context.Background(), mat, k, 0, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -128,7 +129,7 @@ func runE10(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				p, err := pattern.Anonymize(tab, k)
+				p, err := pattern.AnonymizeCtx(context.Background(), tab, k, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -151,7 +152,7 @@ func runE10(cfg Config) ([]*Table, error) {
 		rng := rand.New(rand.NewSource(cfg.seed() + int64(ln)))
 		tab := dataset.Census(rng, ln, 6)
 		mat := metric.NewMatrix(tab)
-		sets, err := cover.Balls(mat, 3, cover.WeightRadiusBound)
+		sets, err := cover.BallsCtx(context.Background(), mat, 3, cover.WeightRadiusBound, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +163,7 @@ func runE10(cfg Config) ([]*Table, error) {
 		}
 		naiveT := time.Since(start)
 		start = time.Now()
-		fast, err := cover.Greedy(tab.Len(), sets)
+		fast, err := cover.GreedyCtx(context.Background(), tab.Len(), sets, nil)
 		if err != nil {
 			return nil, err
 		}

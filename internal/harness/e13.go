@@ -41,7 +41,7 @@ func runE13(cfg Config) ([]*Table, error) {
 			worst := 1.0
 			for trial := 0; trial < trials; trial++ {
 				tab := dataset.Uniform(rng, n, m, sigma)
-				bb, err := exact.BranchBound(tab, k, 0)
+				bb, err := exact.BranchBound(tab, k, 0, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math/rand"
 
 	"kanon/internal/algo"
@@ -47,7 +48,7 @@ func runE14(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				weighted, err := algo.GreedyBallWeighted(tab, k, w, nil)
+				weighted, err := algo.GreedyBall(tab, k, &algo.Options{Weights: w})
 				if err != nil {
 					return nil, err
 				}
@@ -58,11 +59,11 @@ func runE14(cfg Config) ([]*Table, error) {
 
 				// Small-n exact comparison.
 				sub := tab.SubTable(firstN(12))
-				opt, err := exact.SolveWeighted(sub, k, w)
+				opt, err := exact.SolveWeightedCtx(context.Background(), sub, k, w, nil)
 				if err != nil {
 					return nil, err
 				}
-				g, err := algo.GreedyBallWeighted(sub, k, w, nil)
+				g, err := algo.GreedyBall(sub, k, &algo.Options{Weights: w})
 				if err != nil {
 					return nil, err
 				}

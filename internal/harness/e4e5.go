@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -48,7 +49,7 @@ func runE4(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := exact.Solve(inst.Table, 3, exact.Stars)
+			opt, err := exact.SolveCtx(context.Background(), inst.Table, 3, exact.Stars, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -54,7 +55,7 @@ func runE6(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				ds, err := exact.Solve(tab, k, exact.DiameterSum)
+				ds, err := exact.SolveCtx(context.Background(), tab, k, exact.DiameterSum, nil)
 				if err != nil {
 					return nil, err
 				}

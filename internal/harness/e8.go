@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -92,7 +93,7 @@ func runE8(cfg Config) ([]*Table, error) {
 			return r.Cost, nil
 		}},
 		{"pattern", func(tab *relation.Table, k int) (int, error) {
-			r, err := pattern.Anonymize(tab, k)
+			r, err := pattern.AnonymizeCtx(context.Background(), tab, k, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -220,27 +220,22 @@ func (m *Matrix) widen() {
 // overhead outweighs the work.
 const parallelThreshold = 256
 
-// NewMatrix computes the full pairwise distance matrix of t. Large
-// tables are computed in parallel over all CPUs; the result is
-// identical either way (each worker owns disjoint rows of the output).
+// NewMatrix computes the full pairwise distance matrix of t over all
+// CPUs: NewMatrixCtx without cancellation, which cannot fail then.
 func NewMatrix(t *relation.Table) *Matrix {
-	return NewMatrixWorkers(t, 0)
-}
-
-// NewMatrixWorkers is NewMatrix with an explicit worker count: 0 (or
-// negative) means runtime.NumCPU(), 1 forces the sequential fill. The
-// output is byte-identical for every worker count.
-func NewMatrixWorkers(t *relation.Table, workers int) *Matrix {
-	m, _ := NewMatrixCtx(context.Background(), t, workers)
+	m, _ := NewMatrixCtx(context.Background(), t, 0)
 	return m
 }
 
-// NewMatrixCtx is NewMatrixWorkers with cancellation: the fill polls
-// ctx once per row (cheap next to a row's O(n·m) distance work), so an
-// O(n²m) fill on a large table aborts promptly instead of running to
-// completion after its caller gave up. A non-nil error wraps ctx.Err();
-// the partially filled matrix is not returned. The output is
-// byte-identical for every worker count and unaffected by ctx.
+// NewMatrixCtx computes the full pairwise distance matrix of t. Rows
+// are filled across workers (0 or negative means runtime.NumCPU(), 1
+// forces the sequential fill); each worker owns disjoint rows of the
+// output, so it is byte-identical for every worker count. The fill
+// polls ctx once per row (cheap next to a row's O(n·m) distance work),
+// so an O(n²m) fill on a large table aborts promptly instead of
+// running to completion after its caller gave up. A non-nil error
+// wraps ctx.Err(); the partially filled matrix is not returned. The
+// output is unaffected by ctx.
 func NewMatrixCtx(ctx context.Context, t *relation.Table, workers int) (*Matrix, error) {
 	n := t.Len()
 	m := &Matrix{n: n}

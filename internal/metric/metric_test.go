@@ -351,9 +351,15 @@ func TestMatrixWideTableGuard(t *testing.T) {
 func TestNewMatrixWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := randomTable(rng, parallelThreshold+20, 6, 4)
-	ref := NewMatrixWorkers(tab, 1)
+	ref, err := NewMatrixCtx(context.Background(), tab, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{0, 2, 3, 8} {
-		m := NewMatrixWorkers(tab, workers)
+		m, err := NewMatrixCtx(context.Background(), tab, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < tab.Len(); i++ {
 			for j := 0; j < tab.Len(); j++ {
 				if m.Dist(i, j) != ref.Dist(i, j) {

@@ -140,8 +140,8 @@ func TestSnapshotMergeOrdersSpansByWallClock(t *testing.T) {
 	}
 	a := &Snapshot{Spans: []SpanSnapshot{mk("job@node-a", t0)}}
 	b := &Snapshot{Spans: []SpanSnapshot{
-		mk("job@node-b", t0.Add(30 * time.Second)),
-		mk("job@node-b", t0.Add(-5 * time.Second)), // e.g. an earlier aborted segment
+		mk("job@node-b", t0.Add(30*time.Second)),
+		mk("job@node-b", t0.Add(-5*time.Second)), // e.g. an earlier aborted segment
 	}}
 	b.Merge(a)
 	names := make([]string, len(b.Spans))

@@ -51,31 +51,23 @@ type Result struct {
 	FamilySize int
 }
 
-// Anonymize runs greedy set cover over the pattern family and converts
-// the cover into a k-anonymization. Requires m ≤ MaxColumns.
+// AnonymizeCtx runs greedy set cover over the pattern family and
+// converts the cover into a k-anonymization. Requires m ≤ MaxColumns.
 //
 // The greedy ratio for a candidate group S under pattern P is
 // (per-row stars) · |S| / |S ∩ uncovered| — the natural weighted set
 // cover objective where a set's weight is its total star cost. Unlike
 // the diameter-weighted greedy, the weight here is the group's exact
 // final cost.
-func Anonymize(t *relation.Table, k int) (*Result, error) {
-	return AnonymizeTraced(t, k, nil)
-}
-
-// AnonymizeTraced is Anonymize with instrumentation under the given
-// parent span: a "pattern.family" span around the 2^m enumeration, a
-// "pattern.suppress" span around the final suppression, cover spans via
-// the cover package, and counters for patterns enumerated and candidate
-// sets generated. Tracing never changes the result.
-func AnonymizeTraced(t *relation.Table, k int, sp *obs.Span) (*Result, error) {
-	return AnonymizeCtx(context.Background(), t, k, sp)
-}
-
-// AnonymizeCtx is AnonymizeTraced with cancellation: the context is
-// checked once per enumerated pattern (each pattern costs an O(n) bucket
-// pass) and per greedy round via the cover package, so the 2^m
-// enumeration aborts promptly when the caller cancels or times out.
+//
+// The context is checked once per enumerated pattern (each pattern
+// costs an O(n) bucket pass) and per greedy round via the cover
+// package, so the 2^m enumeration aborts promptly when the caller
+// cancels or times out. Instrumentation attaches under sp (nil
+// disables it): a "pattern.family" span around the 2^m enumeration, a
+// "pattern.suppress" span around the final suppression, cover spans
+// via the cover package, and counters for patterns enumerated and
+// candidate sets generated. Tracing never changes the result.
 func AnonymizeCtx(ctx context.Context, t *relation.Table, k int, sp *obs.Span) (*Result, error) {
 	n, m := t.Len(), t.Degree()
 	if k < 1 {

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestAnonymizeValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []int{2, 3} {
 		tab := dataset.Uniform(rng, 20, 5, 2)
-		r, err := Anonymize(tab, k)
+		r, err := AnonymizeCtx(context.Background(), tab, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestAnonymizeDuplicateHeavy(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{
 		{1, 2, 3}, {1, 2, 3}, {4, 5, 6}, {4, 5, 6}, {1, 2, 3},
 	})
-	r, err := Anonymize(tab, 2)
+	r, err := AnonymizeCtx(context.Background(), tab, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +47,14 @@ func TestAnonymizeDuplicateHeavy(t *testing.T) {
 
 func TestAnonymizeErrors(t *testing.T) {
 	tab := relation.MustFromVectors([][]int{{1}, {2}})
-	if _, err := Anonymize(tab, 0); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 0, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := Anonymize(tab, 3); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 3, nil); err == nil {
 		t.Error("accepted n < k")
 	}
 	wide := dataset.Uniform(rand.New(rand.NewSource(2)), 4, MaxColumns+1, 2)
-	if _, err := Anonymize(wide, 2); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), wide, 2, nil); err == nil {
 		t.Error("accepted m over limit")
 	}
 }
@@ -71,7 +72,7 @@ func TestNearOptimalOnSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Anonymize(tab, k)
+		r, err := AnonymizeCtx(context.Background(), tab, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -188,7 +189,7 @@ func TestMatchingFromOptimalPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exact.Solve(inst.Table, 3, exact.Stars)
+	r, err := exact.SolveCtx(context.Background(), inst.Table, 3, exact.Stars, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestMatchingFromPartitionRejectsExpensive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exact.Solve(inst.Table, 3, exact.Stars)
+	r, err := exact.SolveCtx(context.Background(), inst.Table, 3, exact.Stars, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,7 @@ import (
 	"time"
 
 	"kanon"
-	"kanon/internal/core"
-	"kanon/internal/metric"
 	"kanon/internal/obs"
-	"kanon/internal/relation"
 	"kanon/internal/store"
 	"kanon/internal/stream"
 )
@@ -700,7 +697,9 @@ func (m *Manager) execute(ctx context.Context, job *Job, o jobObs) (*kanon.Resul
 			}
 			ckpt = &journalCheckpoint{inner: c, m: m, job: job, jr: o.journal}
 		}
-		return streamResult(ctx, job, ckpt, o.root)
+		return kanon.AnonymizeBlocks(ctx, job.header, job.rows, req.K, req.BlockRows, &kanon.Options{
+			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Span: o.root,
+		}, ckpt)
 	}
 	opts := &kanon.Options{
 		Algorithm:   req.Algorithm,
@@ -719,57 +718,6 @@ func (m *Manager) execute(ctx context.Context, job *Job, o jobObs) (*kanon.Resul
 	}
 	res, err := kanon.AnonymizeContext(ctx, job.header, job.rows, req.K, opts)
 	return res, 0, err
-}
-
-// streamResult mirrors cmd/kanon's block path: anonymize in bounded
-// blocks and adapt the stream result to the facade's Result shape. A
-// non-nil checkpoint sink makes the pass durable and resumable: each
-// finished block is spooled, and blocks a prior (crashed) run finished
-// are replayed rather than recomputed — byte-identically, because block
-// bounds and the per-block algorithm are deterministic.
-func streamResult(ctx context.Context, job *Job, ckpt stream.Checkpoint, sp *obs.Span) (*kanon.Result, int, error) {
-	t := relation.NewTable(relation.NewSchema(job.header...))
-	for _, r := range job.rows {
-		if err := t.AppendStrings(r...); err != nil {
-			return nil, 0, err
-		}
-	}
-	sr, err := stream.Anonymize(t, job.Req.K, &stream.Options{
-		Ctx:        ctx,
-		BlockRows:  job.Req.BlockRows,
-		Refine:     job.Req.Refine,
-		Workers:    job.Req.Workers,
-		Kernel:     kernelChoice(job.Req.Kernel),
-		Checkpoint: ckpt,
-		Trace:      sp,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]string, sr.Anonymized.Len())
-	for i := range out {
-		out[i] = sr.Anonymized.Strings(i)
-	}
-	groups := core.FromAnonymized(sr.Anonymized)
-	groups.Normalize()
-	return &kanon.Result{
-		K:      job.Req.K,
-		Header: append([]string(nil), job.header...),
-		Rows:   out,
-		Groups: groups.Groups,
-		Cost:   sr.Cost,
-	}, sr.BlocksResumed, nil
-}
-
-// kernelChoice maps the public kernel enum to the internal choice the
-// stream layer takes; the facade does this conversion itself on the
-// non-stream path. Kernel names parse by construction.
-func kernelChoice(k kanon.Kernel) metric.Choice {
-	c, err := metric.ParseChoice(k.String())
-	if err != nil {
-		return metric.Auto
-	}
-	return c
 }
 
 // janitor evicts terminal jobs whose result TTL has expired.

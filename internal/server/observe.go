@@ -126,37 +126,37 @@ func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
 }
 
 // journalCheckpoint wraps the store-backed stream checkpoint with the
-// journal and trace hooks: every committed block appends a
-// checkpoint_committed event and flushes the trace (so a thief resuming
-// from this block also inherits the timeline up to it), and every
-// replayed block appends checkpoint_resumed — the durable record that a
-// resume actually reused the dead node's work.
+// journal and trace hooks: every committed block flushes the trace (so
+// a thief resuming from this block also inherits the timeline up to
+// it) and appends a checkpoint_committed event, and every replayed
+// block appends checkpoint_resumed — the durable record that a resume
+// actually reused the dead node's work.
 type journalCheckpoint struct {
-	inner    stream.Checkpoint
-	m        *Manager
-	job      *Job
-	jr       *obs.Journal
-	resumed  int
-	commited int
+	inner stream.Checkpoint
+	m     *Manager
+	job   *Job
+	jr    *obs.Journal
 }
 
+// Save flushes the trace before the inner checkpoint writes the block's
+// commit marker: a node killed between the two leaves a trace naming
+// it and no committed block, never a committed block whose trace
+// segment is lost.
 func (c *journalCheckpoint) Save(stat stream.BlockStat, rows [][]string) error {
+	c.m.flushJobTrace(c.job)
 	if err := c.inner.Save(stat, rows); err != nil {
 		return err
 	}
-	c.commited++
 	c.jr.Record(obs.JournalEvent{
 		Event:  obs.EvCheckpointCommitted,
 		Detail: fmt.Sprintf("block [%d,%d) cost=%d", stat.Lo, stat.Hi, stat.Cost),
 	})
-	c.m.flushJobTrace(c.job)
 	return nil
 }
 
 func (c *journalCheckpoint) Load(lo, hi int) ([][]string, *stream.BlockStat, bool, error) {
 	rows, stat, ok, err := c.inner.Load(lo, hi)
 	if ok && err == nil {
-		c.resumed++
 		c.jr.Record(obs.JournalEvent{
 			Event:  obs.EvCheckpointResumed,
 			Detail: fmt.Sprintf("block [%d,%d)", lo, hi),

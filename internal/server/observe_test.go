@@ -2,12 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"path"
 	"strings"
 	"testing"
 	"time"
 
 	"kanon"
+	"kanon/internal/dataset"
 	"kanon/internal/obs"
 	"kanon/internal/store"
 )
@@ -197,4 +201,57 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never started running", id)
+}
+
+// traceFirstBackend is store.Local with one crash-ordering invariant
+// enforced: a block's commit marker (checkpoints/*.stat.json) may be
+// written only once the job's trace.json exists and holds a root span.
+// A node killed right after a commit then always leaves its trace
+// segment behind, whatever the kill timing.
+type traceFirstBackend struct {
+	*store.Local
+	markers int
+}
+
+func (b *traceFirstBackend) WriteAtomic(rel string, data []byte) error {
+	dir, file := path.Split(rel)
+	if path.Base(dir) == "checkpoints" && strings.HasSuffix(file, ".stat.json") {
+		tb, err := b.ReadFile(path.Join(path.Dir(path.Dir(rel)), "trace.json"))
+		if err != nil {
+			return fmt.Errorf("commit marker %s before the trace: %w", rel, err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(tb, &snap); err != nil || len(snap.Spans) == 0 {
+			return fmt.Errorf("commit marker %s before a trace with a root span (%v)", rel, err)
+		}
+		b.markers++
+	}
+	return b.Local.WriteAtomic(rel, data)
+}
+
+// TestCheckpointCommitFollowsTrace: every block commit of a durable
+// stream job lands after the trace flush that names its runner.
+func TestCheckpointCommitFollowsTrace(t *testing.T) {
+	local, err := store.NewLocal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &traceFirstBackend{Local: local}
+	st, err := store.OpenBackend(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rows := renderTable(dataset.Census(rand.New(rand.NewSource(54)), 120, 4))
+	m := newTestManager(t, Config{Store: st, Workers: 1})
+	job, err := m.Submit(header, rows, JobRequest{K: 3, Algorithm: kanon.AlgoGreedyBall, BlockRows: 30, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	if s := job.Status(); s.State != StateSucceeded {
+		t.Fatalf("job %s: %s", s.State, s.Error)
+	}
+	if be.markers != 4 {
+		t.Errorf("%d block commits, want 4", be.markers)
+	}
 }

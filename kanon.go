@@ -45,6 +45,7 @@ import (
 	"kanon/internal/refine"
 	"kanon/internal/relation"
 	"kanon/internal/solver"
+	"kanon/internal/stream"
 
 	// The solver families register themselves with internal/solver at
 	// init; the facade dispatches by name and never links them directly.
@@ -212,9 +213,9 @@ type Options struct {
 	// Kernel selects the distance-kernel backend of the metric-driven
 	// algorithms (AlgoGreedyBall, AlgoGreedyExhaustive); KernelAuto
 	// (the default) sizes the choice to the table. Algorithms that do
-	// not consult the metric, and the weighted-ball path (whose metric
-	// is dense by construction), ignore it. Output is byte-identical
-	// for every kernel.
+	// not consult the metric ignore it, and so does AlgoGreedyBall
+	// when ColumnWeights is set: the weighted metric is always a dense
+	// matrix. Output is byte-identical for every kernel.
 	Kernel Kernel
 	// Seed feeds AlgoRandom's shuffle (ignored elsewhere).
 	Seed int64
@@ -222,7 +223,8 @@ type Options struct {
 	// greedy algorithms instead of the paper's arbitrary split.
 	SplitSorted bool
 	// TrueDiameterWeights makes AlgoGreedyBall weight candidate balls
-	// by exact diameter instead of the 2·radius bound.
+	// by exact diameter instead of the 2·radius bound; with
+	// ColumnWeights set, by exact weighted diameter.
 	TrueDiameterWeights bool
 	// Refine post-optimizes the partition with cost-direct local search
 	// (relocate/swap/dissolve moves). Never increases cost and never
@@ -236,9 +238,10 @@ type Options struct {
 	RefineOpts *refine.Options
 	// ColumnWeights prices each column's suppressed entries (nil means
 	// all 1, the paper's objective). Honored by AlgoGreedyBall (the
-	// weighted metric drives grouping) and AlgoExact (the DP minimizes
-	// the weighted objective); other algorithms ignore weights but the
-	// Result still reports the weighted cost.
+	// weighted metric drives grouping, TrueDiameterWeights included)
+	// and AlgoExact (the DP minimizes the weighted objective); other
+	// algorithms ignore weights but the Result still reports the
+	// weighted cost.
 	ColumnWeights []int
 	// Workers bounds the parallelism of the greedy algorithms' hot
 	// paths (distance matrix fill, ball-family construction) and the
@@ -458,6 +461,56 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 		Optimal:      optimal,
 		Stats:        stats,
 	}, nil
+}
+
+// AnonymizeBlocks is the bounded-memory block path behind the kanon
+// CLI's -block flag and kanond's block jobs. It k-anonymizes the rows
+// in independent blocks of at most blockRows, each with the Theorem 4.2
+// greedy, and adapts the release to a Result whose groups are the
+// released table's textual equivalence classes. Of opts only Kernel,
+// Refine, Workers, Span and Log apply.
+//
+// A non-nil ckpt makes the pass durable and resumable: each finished
+// block is spooled, and blocks a prior (crashed) run finished are
+// replayed rather than recomputed — byte-identically, because block
+// bounds and the per-block algorithm are deterministic. The int result
+// counts the replayed blocks.
+func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, blockRows int, opts *Options, ckpt stream.Checkpoint) (*Result, int, error) {
+	if opts == nil {
+		opts = &Options{}
+	}
+	t := relation.NewTable(relation.NewSchema(header...))
+	for _, r := range rows {
+		if err := t.AppendStrings(r...); err != nil {
+			return nil, 0, err
+		}
+	}
+	sr, err := stream.Anonymize(t, k, &stream.Options{
+		Ctx:        ctx,
+		BlockRows:  blockRows,
+		Refine:     opts.Refine,
+		Workers:    opts.Workers,
+		Kernel:     opts.Kernel.choice(),
+		Checkpoint: ckpt,
+		Trace:      opts.Span,
+		Log:        obs.NewEvents(opts.Log, obs.NewRunID()),
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([][]string, sr.Anonymized.Len())
+	for i := range out {
+		out[i] = sr.Anonymized.Strings(i)
+	}
+	groups := core.FromAnonymized(sr.Anonymized)
+	groups.Normalize()
+	return &Result{
+		K:      k,
+		Header: append([]string(nil), header...),
+		Rows:   out,
+		Groups: groups.Groups,
+		Cost:   sr.Cost,
+	}, sr.BlocksResumed, nil
 }
 
 // finishDirect packages a direct-release solver result (the hierarchy
