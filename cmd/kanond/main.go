@@ -7,21 +7,26 @@
 //
 //	kanond -addr :8080 [-workers 4] [-queue 64] [-job-timeout 5m] [-data-dir /var/lib/kanond]
 //
-// SIGINT/SIGTERM triggers a graceful shutdown: admission stops, running
-// jobs drain for up to -drain, and whatever remains is cancelled.
+// SIGINT/SIGTERM triggers a graceful shutdown: admission stops, the jobs
+// this process admitted drain for up to -drain, and whatever is still
+// running then is released back to the queue (with -data-dir) or
+// cancelled (without).
 //
-// With -data-dir, every job is persisted (request, lifecycle manifest,
-// result, and per-block checkpoints for streamed jobs); after a crash,
-// a restart with -recover (the default) re-admits unfinished jobs and
-// resumes streamed jobs from their last completed block.
+// Every job is dispatched the same way: a claim loop takes leases on
+// jobs in the job store and runs them. Without -data-dir the store is
+// in memory. With -data-dir, every job is persisted (request, lifecycle
+// manifest, journal, trace, result, and per-block checkpoints for
+// streamed jobs); after a crash, a restart over the same directory
+// claims the unfinished jobs again and resumes streamed jobs from their
+// last completed block.
 //
-// With -data-dir AND -node-id, kanond runs in cluster mode: any number
-// of kanond processes sharing the same data directory (each with a
-// distinct -node-id) drain one queue together. Jobs are claimed under
-// renewable leases with fencing tokens; when a node dies, its jobs
-// become stealable one -lease-ttl after its last renewal, and streamed
-// jobs continue from the dead node's committed block checkpoints —
-// byte-identically. Any node answers status/result/cancel for any job.
+// With -data-dir AND -node-id, any number of kanond processes sharing
+// the same data directory (each with a distinct -node-id) drain one
+// queue together. Jobs are claimed under renewable leases with fencing
+// tokens; when a node dies, its jobs become stealable one -lease-ttl
+// after its last renewal, and streamed jobs continue from the dead
+// node's committed block checkpoints — byte-identically. Any node
+// answers status/result/cancel for any job.
 //
 // Adding -replicate-peers removes the shared-directory requirement:
 // each node keeps a private -data-dir and a pull loop converges
@@ -73,13 +78,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 	maxBody := fs.Int64("max-body", 32<<20, "request body limit in bytes")
 	kernelName := fs.String("kernel", "auto", "default distance kernel for jobs that omit ?kernel=: auto, dense, or bitset (output is identical)")
 	dataDir := fs.String("data-dir", "", "persist jobs (requests, manifests, results, block checkpoints) under this directory; empty keeps everything in memory")
-	recoverJobs := fs.Bool("recover", true, "with -data-dir, re-admit jobs found queued or running on disk at startup and resume their block checkpoints")
-	nodeID := fs.String("node-id", "", "with -data-dir, join the cluster sharing that directory under this identity; empty runs single-node")
+	nodeID := fs.String("node-id", "", "with -data-dir, join the cluster sharing that directory under this identity; empty holds leases as \"local\", for a node that shares its directory with no one")
 	replicatePeers := fs.String("replicate-peers", "", "cluster mode without a shared filesystem: comma-separated base URLs of the other nodes; each node keeps a full copy of -data-dir and pulls what it is missing (requires -node-id)")
 	replicateInterval := fs.Duration("replicate-interval", 500*time.Millisecond, "pull-loop interval of the replicated store backend")
-	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "cluster mode: lease duration per claimed job — the crash-failover delay before peers steal a dead node's work")
-	claimInterval := fs.Duration("claim-interval", 0, "cluster mode: poll interval for foreign work and expired leases (0 = lease-ttl/5, clamped to [50ms, 2s])")
-	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget before running jobs are cancelled")
+	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease duration per claimed job — the crash-failover delay before peers steal a dead node's work")
+	claimInterval := fs.Duration("claim-interval", 0, "poll interval for foreign work and expired leases (0 = lease-ttl/5, clamped to [50ms, 2s])")
+	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget before running jobs are released (with -data-dir) or cancelled")
 	metricsOut := fs.String("metrics-out", "", "write the final telemetry snapshot (Prometheus text) to this file on graceful shutdown")
 	logEvents := fs.Bool("log", true, "emit structured JSON lifecycle events to stderr")
 	version := fs.Bool("version", false, "print build provenance and exit")
@@ -135,7 +139,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 		Kernel:        kern,
 		Log:           logger,
 		Store:         st,
-		Recover:       *recoverJobs,
 		NodeID:        *nodeID,
 		LeaseTTL:      *leaseTTL,
 		ClaimInterval: *claimInterval,
@@ -181,8 +184,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}, ready ch
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// Drain the job manager first (admission off, running jobs finish or
-	// are cancelled at the deadline), then close the listener.
+	// Drain the job manager first (admission off, its own jobs finish or
+	// are released or cancelled at the deadline), then close the listener.
 	draineErr := srv.Shutdown(ctx)
 	if err := hs.Shutdown(ctx); err != nil && draineErr == nil {
 		draineErr = err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -328,7 +331,6 @@ func TestClusterShutdownReleasesRunning(t *testing.T) {
 func TestClusterHealth(t *testing.T) {
 	dir := t.TempDir()
 	header, rows, _ := smallInstance(t, 65)
-	probe := openStoreAt(t, dir)
 	m := newClusterManager(t, dir, "node-a", func(c *Config) { c.Workers = 2 })
 
 	h := m.Health()
@@ -341,7 +343,7 @@ func TestClusterHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitManifestState(t, probe, job.ID, store.StateSucceeded)
+	waitDone(t, job)
 	h = m.Health()
 	if h.Jobs != 1 || h.Queued != 0 || h.Claimed != 0 || h.Free != 2 {
 		t.Fatalf("post-job health = %+v", h)
@@ -605,5 +607,149 @@ func TestClusterLeaseStolenMidRun(t *testing.T) {
 	}
 	if st, ok := m.StatusOf(job.ID); ok && st.State.Terminal() {
 		t.Errorf("abandoned job reported terminal locally: %+v", st)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer that slog handlers on several
+// goroutines may write while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestClusterQueueDepthAndRecovered: on a two-node cluster each node's
+// server.queue_depth is the number of queued manifests its last claim
+// scan saw, and server.jobs_recovered counts the claims of jobs
+// admitted before the node started, each logged as job_recovered.
+func TestClusterQueueDepthAndRecovered(t *testing.T) {
+	dir := t.TempDir()
+	probe := openStoreAt(t, dir)
+	slowHeader, slowRows := mustParse(t, slowCSV())
+	header, rows, _ := smallInstance(t, 72)
+	// All four jobs predate both nodes. The two slow ones are oldest, so
+	// they occupy the nodes' single workers and the others stay queued.
+	base := time.Now().Add(-time.Minute).UTC()
+	jobs := []struct {
+		id   string
+		slow bool
+	}{{"blocker-1", true}, {"blocker-2", true}, {"pre-1", false}, {"pre-2", false}}
+	for i, j := range jobs {
+		man := &store.Manifest{ID: j.id, State: store.StateQueued, K: 3, Algo: "ball",
+			Rows: len(rows), Cols: len(header), SubmittedAt: base.Add(time.Duration(i) * time.Second)}
+		h, r := header, rows
+		if j.slow {
+			man.K, man.Algo, man.Rows, man.Cols = 2, "exact", len(slowRows), len(slowHeader)
+			h, r = slowHeader, slowRows
+		}
+		if err := probe.CreateJob(man, h, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logs lockedBuffer
+	one := func(c *Config) {
+		c.Workers = 1
+		c.LeaseTTL = 2 * time.Second // renewals never lapse under load; claims scan every 400ms
+		c.Log = slog.New(slog.NewTextHandler(&logs, nil))
+	}
+	mA := newClusterManager(t, dir, "node-a", one)
+	mB := newClusterManager(t, dir, "node-b", one)
+	nodes := []*Manager{mA, mB}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for _, m := range nodes {
+		for m.Snapshot().Gauges["server.queue_depth"].Last != 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s queue_depth = %d, want 2", m.cfg.NodeID, m.Snapshot().Gauges["server.queue_depth"].Last)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, id := range []string{"blocker-1", "blocker-2"} {
+		if _, ok := mA.CancelByID(id); !ok {
+			t.Fatalf("cancel %s: unknown job", id)
+		}
+	}
+	waitManifestState(t, probe, "pre-1", store.StateSucceeded)
+	waitManifestState(t, probe, "pre-2", store.StateSucceeded)
+	for _, id := range []string{"blocker-1", "blocker-2"} {
+		waitManifestState(t, probe, id, store.StateCanceled)
+	}
+
+	recovered := mA.Snapshot().Counters["server.jobs_recovered"] + mB.Snapshot().Counters["server.jobs_recovered"]
+	if recovered != 4 {
+		t.Errorf("jobs_recovered across the cluster = %d, want 4", recovered)
+	}
+	if n := strings.Count(logs.String(), "msg=job_recovered"); n != 4 {
+		t.Errorf("%d job_recovered log events, want 4", n)
+	}
+}
+
+// TestClusterPeerRunJobSettlesOnSubmitter: a job submitted on node A
+// but run on node B (A's one worker is busy) does not linger on A as a
+// queued ghost. A's copy turns terminal once B finishes — Done closes
+// and A's active count drops — and once the janitor reaps the job, A
+// answers 404 like every other node.
+func TestClusterPeerRunJobSettlesOnSubmitter(t *testing.T) {
+	dir := t.TempDir()
+	slowHeader, slowRows := mustParse(t, slowCSV())
+	header, rows, _ := smallInstance(t, 73)
+	cfg := func(workers int) func(*Config) {
+		return func(c *Config) {
+			c.Workers = workers
+			c.LeaseTTL = 2 * time.Second // renewals never lapse under load; claims scan every 400ms
+			c.ResultTTL = time.Second
+		}
+	}
+	mA := newClusterManager(t, dir, "node-a", cfg(1))
+	blocker, err := mA.Submit(slowHeader, slowRows, JobRequest{K: 2, Algorithm: kanon.AlgoExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, mA, blocker.ID)
+	defer mA.CancelByID(blocker.ID)
+
+	mB := newClusterManager(t, dir, "node-b", cfg(2))
+	job, err := mA.Submit(header, rows, JobRequest{K: 3, Algorithm: kanon.AlgoGreedyBall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	if st := job.Status(); st.State != StateSucceeded {
+		t.Fatalf("A's copy after B ran the job: %+v, want succeeded", st)
+	}
+	if h := mA.Health(); h.Active != 1 {
+		t.Errorf("A's active jobs = %d, want 1 (the blocker)", h.Active)
+	}
+	if st, ok := mA.StatusOf(job.ID); !ok || st.State != StateSucceeded || st.Node != "node-b" || st.Cost == nil {
+		t.Errorf("A's status of B's run: %+v ok=%v, want succeeded on node-b with a cost", st, ok)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, onA := mA.StatusOf(job.ID)
+		_, onB := mB.StatusOf(job.ID)
+		if !onA && !onB {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reaped job still known: on A %v, on B %v", onA, onB)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if h := mA.Health(); h.Active != 1 || h.Jobs != 1 {
+		t.Errorf("A's health after the reap: %+v, want only the blocker", h)
 	}
 }

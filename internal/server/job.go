@@ -222,32 +222,36 @@ type Job struct {
 	cancel    func() // non-nil once running; cancels the job's context
 	done      chan struct{}
 
-	// Cluster-mode lease bookkeeping: the fencing token and node of the
-	// claim this run holds, and whether cancellation was requested by a
-	// user (as opposed to a drain deadline, which releases the job back
-	// to the queue instead of cancelling it terminally).
-	fence        uint64
+	// Lease bookkeeping: the node whose claim covers this run, and
+	// whether cancellation was requested by a user (as opposed to a drain
+	// deadline, which on a configured store releases the job back to the
+	// queue instead of cancelling it terminally).
 	claimNode    string
 	userCanceled bool
+	// admitted marks a job submitted through this manager, as opposed to
+	// one adopted from the store; a draining node runs only these.
+	admitted bool
+	// commit is held while a run settles its outcome (manifest, journal,
+	// worker slot, local state), so StatusOf waits out that step instead
+	// of answering from its middle.
+	commit sync.Mutex
 
-	// Observability (store-backed runs): the per-run tracer, live while
-	// this node runs the job, and the trace segments persisted by
-	// earlier runs — captured once at run start so re-flushes never
-	// merge this run's own output back into itself.
+	// Observability: the per-run tracer, live while this node runs the
+	// job, and the trace segments persisted by earlier runs — captured
+	// once at run start so re-flushes never merge this run's own output
+	// back into itself.
 	tracer     *obs.Tracer
 	priorTrace *obs.Snapshot
 }
 
-// manifest snapshots the job's lifecycle as a durable store record.
-// The states share their textual form with the store by construction,
-// so the mapping is a cast, not a translation table.
+// manifest is the job's admission record: the queued manifest Submit
+// writes to the store. Every later transition is a fenced store
+// mutation made by the lease holder, never a rewrite of this record.
 func (j *Job) manifest() *store.Manifest {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	m := &store.Manifest{
 		Version:        store.ManifestVersion,
 		ID:             j.ID,
-		State:          string(j.state),
+		State:          store.StateQueued,
 		K:              j.Req.K,
 		Algo:           j.Req.Algorithm.String(),
 		Kernel:         j.Req.Kernel.String(),
@@ -269,21 +273,6 @@ func (j *Job) manifest() *store.Manifest {
 		if b, err := j.Req.HierarchySpec.Encode(); err == nil {
 			m.HierarchySpec = string(b)
 		}
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		m.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		m.FinishedAt = &t
-	}
-	if j.err != nil {
-		m.Error = j.err.Error()
-	}
-	if j.state == StateSucceeded && j.result != nil {
-		c := j.result.Cost
-		m.Cost = &c
 	}
 	return m
 }
@@ -339,8 +328,8 @@ type Status struct {
 	Cols   int    `json:"cols"`
 	// Cost is the suppression objective; present once succeeded.
 	Cost *int `json:"cost,omitempty"`
-	// Node is the cluster node whose lease covers (or covered) the
-	// job's run; empty outside cluster mode and before the first claim.
+	// Node is the node whose lease covers (or covered) the job's run —
+	// "local" on a node without a NodeID; empty before the first claim.
 	Node string `json:"node,omitempty"`
 	// Error is the failure or cancellation reason, if terminal and not
 	// succeeded.

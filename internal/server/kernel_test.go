@@ -26,8 +26,8 @@ func kernelCSV(n int) string {
 	return b.String()
 }
 
-// runJob submits, waits for success, and returns the result bytes.
-func runJob(t *testing.T, ts *httptest.Server, query, body string) ([]byte, Status) {
+// submitForResult submits, waits for success, and returns the result bytes.
+func submitForResult(t *testing.T, ts *httptest.Server, query, body string) ([]byte, Status) {
 	t.Helper()
 	st, resp := submit(t, ts, query, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -65,9 +65,9 @@ func TestE2EKernelByteIdentity(t *testing.T) {
 		"k=2&block=40",
 	} {
 		for _, trace := range []string{"", "&trace=true"} {
-			dense, dst := runJob(t, ts, base+trace+"&kernel=dense", csv)
-			bitset, bst := runJob(t, ts, base+trace+"&kernel=bitset", csv)
-			auto, _ := runJob(t, ts, base+trace+"&kernel=auto", csv)
+			dense, dst := submitForResult(t, ts, base+trace+"&kernel=dense", csv)
+			bitset, bst := submitForResult(t, ts, base+trace+"&kernel=bitset", csv)
+			auto, _ := submitForResult(t, ts, base+trace+"&kernel=auto", csv)
 			if string(dense) != string(bitset) {
 				t.Errorf("%s%s: dense and bitset results differ", base, trace)
 			}
@@ -89,7 +89,7 @@ func TestE2EKernelByteIdentity(t *testing.T) {
 // default, and the status reports the resolved choice.
 func TestKernelDefaultFromConfig(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Kernel: kanon.KernelBitset})
-	_, st := runJob(t, ts, "k=2", sampleCSV)
+	_, st := submitForResult(t, ts, "k=2", sampleCSV)
 	if st.Kernel != "bitset" {
 		t.Errorf("status kernel = %q, want the configured bitset default", st.Kernel)
 	}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kanon"
 	"kanon/internal/relation"
+	"kanon/internal/store"
 )
 
 func mustParse(t *testing.T, csv string) ([]string, [][]string) {
@@ -100,7 +103,7 @@ func TestValidateInstance(t *testing.T) {
 
 // TestCancelQueuedJob pins the queued → canceled shortcut: a job
 // cancelled before any worker claims it terminates immediately and is
-// skipped when its queue slot is finally popped.
+// never claimed.
 func TestCancelQueuedJob(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, QueueCapacity: 4})
 	header, rows := mustParse(t, slowCSV())
@@ -114,7 +117,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := m.Cancel(queued.ID); !ok {
+	if _, ok := m.CancelByID(queued.ID); !ok {
 		t.Fatal("Cancel lost the queued job")
 	}
 	select {
@@ -129,7 +132,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Error("canceled job has a result")
 	}
 
-	if _, ok := m.Cancel(blocker.ID); !ok {
+	if _, ok := m.CancelByID(blocker.ID); !ok {
 		t.Fatal("Cancel lost the running job")
 	}
 	select {
@@ -139,11 +142,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestCancelUnknownAndTerminal pins Cancel's edges: unknown IDs report
+// TestCancelUnknownAndTerminal pins CancelByID's edges: unknown IDs report
 // !ok, and cancelling a finished job leaves it untouched.
 func TestCancelUnknownAndTerminal(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
-	if _, ok := m.Cancel("nonesuch"); ok {
+	if _, ok := m.CancelByID("nonesuch"); ok {
 		t.Error("Cancel invented a job")
 	}
 	header, rows := mustParse(t, sampleCSV)
@@ -155,7 +158,7 @@ func TestCancelUnknownAndTerminal(t *testing.T) {
 	if st := job.Status().State; st != StateSucceeded {
 		t.Fatalf("job state %s", st)
 	}
-	m.Cancel(job.ID)
+	m.CancelByID(job.ID)
 	if st := job.Status().State; st != StateSucceeded {
 		t.Errorf("Cancel rewrote a terminal state to %s", st)
 	}
@@ -185,6 +188,44 @@ func TestSubmitQueueFull(t *testing.T) {
 	}
 	if _, err := m.Submit(header, rows, JobRequest{K: 2, Algorithm: kanon.AlgoExact}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit error = %v, want ErrQueueFull", err)
+	}
+}
+
+// TestConcurrentSubmitsRespectQueueCapacity: admission is one step per
+// node, so a burst of concurrent submissions cannot overshoot the
+// queue capacity while the only worker is busy — on the in-memory
+// store and on disk, where each admission's writes take longest.
+func TestConcurrentSubmitsRespectQueueCapacity(t *testing.T) {
+	for name, st := range map[string]*store.Store{"memory": nil, "local": openTestStore(t)} {
+		m := newTestManager(t, Config{Workers: 1, QueueCapacity: 2, Store: st})
+		slowHeader, slowRows := mustParse(t, slowCSV())
+		blocker, err := m.Submit(slowHeader, slowRows, JobRequest{K: 2, Algorithm: kanon.AlgoExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitRunning(t, m, blocker.ID)
+
+		header, rows := mustParse(t, sampleCSV)
+		var admitted atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := m.Submit(header, rows, JobRequest{K: 2, Algorithm: kanon.AlgoGreedyBall})
+				switch {
+				case err == nil:
+					admitted.Add(1)
+				case !errors.Is(err, ErrQueueFull):
+					t.Errorf("%s: submit: %v, want nil or ErrQueueFull", name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := admitted.Load(); n > 2 {
+			t.Fatalf("%s: %d of 16 concurrent submissions admitted past a queue capacity of 2", name, n)
+		}
+		m.CancelByID(blocker.ID)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Per-job observability: the durable lifecycle journal and the
 // persisted trace timeline.
 //
-// With a Store attached, every job carries two artifacts next to its
-// manifest. events.jsonl is the append-only journal: submitted,
-// claimed, lease renewals/steals, checkpoint commits and resumes,
-// phases, and the terminal event — each line stamped with the node that
-// wrote it, so a stolen job's history names every node that touched it.
+// Every job carries two artifacts next to its manifest in the store.
+// events.jsonl is the append-only journal: submitted, claimed, lease
+// renewals/steals, checkpoint commits and resumes, phases, and the
+// terminal event — each line stamped with the node that wrote it, so a
+// stolen job's history names every node that touched it.
 // trace.json is the job's span timeline, flushed at checkpoint commits
 // and terminal transitions; each run captures the previously persisted
 // segments ONCE at start (priorTrace) and merges its own live tracer in
@@ -24,15 +24,11 @@ import (
 	"kanon/internal/stream"
 )
 
-// journal returns the job's durable event sink — nil (disabled) without
-// a store, so call sites never branch. Append failures degrade loudly:
-// journaling is observability, it never fails the job.
+// journal returns the job's event sink in the store. Append failures
+// degrade loudly: journaling is observability, it never fails the job.
 func (m *Manager) journal(id string) *obs.Journal {
-	if m.cfg.Store == nil {
-		return nil
-	}
 	return obs.NewJournal(m.cfg.NodeID, func(line []byte) error {
-		return m.cfg.Store.AppendJournal(id, line)
+		return m.st.AppendJournal(id, line)
 	}, func(err error) {
 		m.logBare(slog.LevelWarn, "journal_append_failed",
 			slog.String("run_id", id), slog.String("error", err.Error()))
@@ -40,23 +36,20 @@ func (m *Manager) journal(id string) *obs.Journal {
 }
 
 // jobObs bundles the observability handles of one run: the root span of
-// this node's trace segment and the job's journal. The zero value is
-// fully disabled (nil-safe all the way down).
+// this node's trace segment and the job's journal.
 type jobObs struct {
 	root    *obs.Span
 	journal *obs.Journal
 }
 
 // startJobObs opens a run's observability: a fresh per-job tracer whose
-// root span names this node ("job@node-a", or "job" single-node), and a
-// one-time capture of any previously persisted trace segments. The
-// capture happens once, here, so later flushes merge prior + live and
-// never fold an earlier flush of this same run back into itself.
+// root span names this node ("job@node-a", or "job" without a
+// NodeID), and a one-time capture of any previously persisted trace
+// segments. The capture happens once, here, so later flushes merge
+// prior + live and never fold an earlier flush of this same run back
+// into itself.
 func (m *Manager) startJobObs(job *Job) jobObs {
 	o := jobObs{journal: m.journal(job.ID)}
-	if m.cfg.Store == nil {
-		return o
-	}
 	name := "job"
 	if m.cfg.NodeID != "" {
 		name = "job@" + m.cfg.NodeID
@@ -64,7 +57,7 @@ func (m *Manager) startJobObs(job *Job) jobObs {
 	tr := obs.New()
 	o.root = tr.Start(name)
 	var prior *obs.Snapshot
-	if b, err := m.cfg.Store.ReadTrace(job.ID); err == nil && len(b) > 0 {
+	if b, err := m.st.ReadTrace(job.ID); err == nil && len(b) > 0 {
 		var snap obs.Snapshot
 		if json.Unmarshal(b, &snap) == nil {
 			prior = &snap
@@ -96,12 +89,12 @@ func (m *Manager) jobTraceSnapshot(job *Job) *obs.Snapshot {
 // flush is a strictly fuller view of the same run.
 func (m *Manager) flushJobTrace(job *Job) {
 	snap := m.jobTraceSnapshot(job)
-	if snap == nil || m.cfg.Store == nil {
+	if snap == nil {
 		return
 	}
 	b, err := json.Marshal(snap)
 	if err == nil {
-		err = m.cfg.Store.WriteTrace(job.ID, b)
+		err = m.st.WriteTrace(job.ID, b)
 	}
 	if err != nil {
 		m.log(job, slog.LevelWarn, "trace_persist_failed", slog.String("error", err.Error()))
@@ -112,7 +105,7 @@ func (m *Manager) flushJobTrace(job *Job) {
 // the final timeline (unless the lease was lost — the thief owns
 // trace.json now and a late flush would clobber its fuller view), and
 // detach the tracer so TraceOf reads the persisted file from here on.
-// Returns the final merged timeline (nil without a store).
+// Returns the final merged timeline.
 func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
 	o.root.End()
 	snap := m.jobTraceSnapshot(job)
@@ -125,7 +118,7 @@ func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
 	return snap
 }
 
-// journalCheckpoint wraps the store-backed stream checkpoint with the
+// journalCheckpoint wraps the store's stream checkpoint with the
 // journal and trace hooks: every committed block flushes the trace (so
 // a thief resuming from this block also inherits the timeline up to
 // it) and appends a checkpoint_committed event, and every replayed
@@ -166,31 +159,24 @@ func (c *journalCheckpoint) Load(lo, hi int) ([][]string, *stream.BlockStat, boo
 }
 
 // jobKnown reports whether the ID names a job this node can answer for:
-// held in memory, or present in the shared store.
+// held in memory, or present in the store.
 func (m *Manager) jobKnown(id string) bool {
 	if _, ok := m.Get(id); ok {
 		return true
 	}
-	if m.cfg.Store != nil {
-		if _, err := m.cfg.Store.ReadManifest(id); err == nil {
-			return true
-		}
-	}
-	return false
+	_, err := m.st.ReadManifest(id)
+	return err == nil
 }
 
 // EventsOf returns the job's decoded journal, reading through the store
 // like StatusOf so any node answers for any job. The second return is
-// false for unknown IDs; a known job without a journal (no store, or
-// nothing recorded yet) answers an empty list.
+// false for unknown IDs; a known job with nothing recorded yet answers
+// an empty list.
 func (m *Manager) EventsOf(id string) ([]obs.JournalEvent, bool) {
 	if !m.jobKnown(id) {
 		return nil, false
 	}
-	if m.cfg.Store == nil {
-		return nil, true
-	}
-	b, err := m.cfg.Store.ReadJournal(id)
+	b, err := m.st.ReadJournal(id)
 	if err != nil {
 		m.logBare(slog.LevelWarn, "journal_read_failed",
 			slog.String("run_id", id), slog.String("error", err.Error()))
@@ -218,14 +204,12 @@ func (m *Manager) TraceOf(id string) (*obs.Snapshot, bool) {
 	if !m.jobKnown(id) {
 		return nil, false
 	}
-	if m.cfg.Store != nil {
-		if b, err := m.cfg.Store.ReadTrace(id); err == nil && len(b) > 0 {
-			var snap obs.Snapshot
-			if err := json.Unmarshal(b, &snap); err == nil {
-				return &snap, true
-			}
-			m.logBare(slog.LevelWarn, "trace_corrupt", slog.String("run_id", id))
+	if b, err := m.st.ReadTrace(id); err == nil && len(b) > 0 {
+		var snap obs.Snapshot
+		if err := json.Unmarshal(b, &snap); err == nil {
+			return &snap, true
 		}
+		m.logBare(slog.LevelWarn, "trace_corrupt", slog.String("run_id", id))
 	}
 	return &obs.Snapshot{}, true
 }

@@ -96,30 +96,28 @@ func TestJournalLifecycleSingleNode(t *testing.T) {
 	}
 }
 
-// TestEventsWithoutStore: an in-memory server still answers both
-// endpoints for known jobs — empty list, empty snapshot — rather than
-// pretending the job does not exist.
+// TestEventsWithoutStore: a server without a configured store runs its
+// jobs on the in-memory store, so both endpoints narrate them like on
+// a durable node — the journal from submitted through succeeded, and a
+// trace with one root span named job.
 func TestEventsWithoutStore(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	jobSt, _ := submit(t, ts, "k=2", sampleCSV)
 	pollUntil(t, ts, jobSt.ID, 30e9, func(s Status) bool { return s.State == StateSucceeded })
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + jobSt.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	var events []obs.JournalEvent
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+jobSt.ID+"/events", &events); code != http.StatusOK {
+		t.Fatalf("events without store: %d, want 200", code)
 	}
-	body := make([]byte, 16)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body[:n])) != "[]" {
-		t.Errorf("events without store: %d %q, want 200 []", resp.StatusCode, body[:n])
+	if len(events) == 0 || events[0].Event != obs.EvSubmitted || events[len(events)-1].Event != obs.EvSucceeded {
+		t.Errorf("events without store = %+v, want submitted through succeeded", events)
 	}
 	var snap obs.Snapshot
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+jobSt.ID+"/trace", &snap); code != http.StatusOK {
 		t.Errorf("trace without store: %d, want 200", code)
 	}
-	if len(snap.Spans) != 0 {
-		t.Errorf("trace without store has spans: %+v", snap.Spans)
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "job" {
+		t.Errorf("trace without store roots = %+v, want one root named job", snap.Spans)
 	}
 }
 

@@ -43,6 +43,22 @@ func waitDone(t *testing.T, j *Job) {
 	}
 }
 
+// waitTerminal polls the manager's read path until the job is terminal:
+// how a test follows a job the manager may hold only in the store.
+func waitTerminal(t *testing.T, m *Manager, id string) Status {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if st, ok := m.StatusOf(id); ok && st.State.Terminal() {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func shutdownManager(t *testing.T, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -70,15 +86,14 @@ func TestRecoverQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newTestManager(t, Config{Store: st, Recover: true})
-	job, ok := m.Get("crashed-q")
-	if !ok {
-		t.Fatal("recovered job not in manager")
+	m := newTestManager(t, Config{Store: st})
+	status := waitTerminal(t, m, "crashed-q")
+	if status.State != StateSucceeded {
+		t.Fatalf("recovered job did not succeed: %+v", status)
 	}
-	waitDone(t, job)
-	res, ok := job.Result()
-	if !ok {
-		t.Fatalf("recovered job did not succeed: %+v", job.Status())
+	_, resRows, err := m.ResultBytes("crashed-q")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := m.Snapshot().Counters["server.jobs_recovered"]; got != 1 {
 		t.Errorf("jobs_recovered = %d, want 1", got)
@@ -88,13 +103,13 @@ func TestRecoverQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost != direct.Cost || len(res.Rows) != len(direct.Rows) {
-		t.Fatalf("recovered run cost/rows %d/%d, direct %d/%d", res.Cost, len(res.Rows), direct.Cost, len(direct.Rows))
+	if status.Cost == nil || *status.Cost != direct.Cost || len(resRows) != len(direct.Rows) {
+		t.Fatalf("recovered run cost/rows %v/%d, direct %d/%d", status.Cost, len(resRows), direct.Cost, len(direct.Rows))
 	}
 	for i := range direct.Rows {
 		for j := range direct.Rows[i] {
-			if res.Rows[i][j] != direct.Rows[i][j] {
-				t.Fatalf("cell (%d,%d): %q, want %q", i, j, res.Rows[i][j], direct.Rows[i][j])
+			if resRows[i][j] != direct.Rows[i][j] {
+				t.Fatalf("cell (%d,%d): %q, want %q", i, j, resRows[i][j], direct.Rows[i][j])
 			}
 		}
 	}
@@ -160,23 +175,22 @@ func TestRecoverCrashedStreamJob(t *testing.T) {
 		t.Fatal("no checkpoints removed; crash simulation is vacuous")
 	}
 
-	m2 := newTestManager(t, Config{Store: st, Recover: true, ResultTTL: time.Hour})
-	job2, ok := m2.Get(job1.ID)
-	if !ok {
-		t.Fatal("crashed job not recovered")
+	m2 := newTestManager(t, Config{Store: st, ResultTTL: time.Hour})
+	status := waitTerminal(t, m2, job1.ID)
+	if status.State != StateSucceeded {
+		t.Fatalf("recovered job failed: %+v", status)
 	}
-	waitDone(t, job2)
-	got, ok := job2.Result()
-	if !ok {
-		t.Fatalf("recovered job failed: %+v", job2.Status())
+	if status.Cost == nil || *status.Cost != want.Cost {
+		t.Fatalf("resumed cost %v, want %d", status.Cost, want.Cost)
 	}
-	if got.Cost != want.Cost {
-		t.Fatalf("resumed cost %d, want %d", got.Cost, want.Cost)
+	_, gotRows, err := m2.ResultBytes(job1.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range want.Rows {
 		for j := range want.Rows[i] {
-			if got.Rows[i][j] != want.Rows[i][j] {
-				t.Fatalf("cell (%d,%d): %q, want %q", i, j, got.Rows[i][j], want.Rows[i][j])
+			if gotRows[i][j] != want.Rows[i][j] {
+				t.Fatalf("cell (%d,%d): %q, want %q", i, j, gotRows[i][j], want.Rows[i][j])
 			}
 		}
 	}
@@ -222,51 +236,31 @@ func TestTerminalJobsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := newTestManager(t, Config{Store: st, Recover: true, ResultTTL: time.Hour})
-	re, ok := m2.Get(job.ID)
+	m2 := newTestManager(t, Config{Store: st, ResultTTL: time.Hour})
+	status, ok := m2.StatusOf(job.ID)
 	if !ok {
 		t.Fatal("succeeded job gone after restart")
 	}
-	status := re.Status()
 	if status.State != StateSucceeded || status.Cost == nil || *status.Cost != want.Cost {
 		t.Fatalf("reloaded status %+v, want succeeded with cost %d", status, want.Cost)
 	}
 	if status.Rows != len(rows) || status.Cols != len(header) {
 		t.Errorf("reloaded shape %dx%d, want %dx%d", status.Rows, status.Cols, len(rows), len(header))
 	}
-	res, ok := re.Result()
-	if !ok || len(res.Rows) != len(want.Rows) {
+	_, resRows, err := m2.ResultBytes(job.ID)
+	if err != nil || len(resRows) != len(want.Rows) {
 		t.Fatalf("reloaded result unavailable or truncated")
 	}
-	fre, ok := m2.Get("failed-1")
+	s, ok := m2.StatusOf("failed-1")
 	if !ok {
 		t.Fatal("failed job gone after restart")
 	}
-	if s := fre.Status(); s.State != StateFailed || s.Error != "deadline exceeded" {
+	if s.State != StateFailed || s.Error != "deadline exceeded" {
 		t.Fatalf("failed job status %+v", s)
 	}
 	// Recovered terminal jobs must not be re-run or re-counted.
 	if got := m2.Snapshot().Counters["server.jobs_recovered"]; got != 0 {
 		t.Errorf("jobs_recovered = %d, want 0", got)
-	}
-}
-
-// TestRecoverDisabled: with Recover off, the store persists but nothing
-// is re-admitted.
-func TestRecoverDisabled(t *testing.T) {
-	st := openTestStore(t)
-	rng := rand.New(rand.NewSource(54))
-	header, rows := renderTable(dataset.Census(rng, 20, 3))
-	man := &store.Manifest{
-		ID: "orphan", State: store.StateQueued, K: 2, Algo: "ball",
-		Rows: len(rows), Cols: len(header), SubmittedAt: time.Now().UTC(),
-	}
-	if err := st.CreateJob(man, header, rows); err != nil {
-		t.Fatal(err)
-	}
-	m := newTestManager(t, Config{Store: st, Recover: false})
-	if _, ok := m.Get("orphan"); ok {
-		t.Error("job recovered with Recover: false")
 	}
 }
 
@@ -345,4 +339,90 @@ func TestJanitorReapsDirectories(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestRestartReclaimsOwnLease: a job still leased under this node's ID
+// was running in an earlier run of the process. A fresh manager takes
+// it back on its first claim scan, not one LeaseTTL later, and runs it
+// to the release a direct run produces.
+func TestRestartReclaimsOwnLease(t *testing.T) {
+	st := openTestStore(t)
+	header, rows, direct := smallInstance(t, 57)
+	man := &store.Manifest{
+		ID: "mine-r", State: store.StateQueued, K: 3, Algo: "ball",
+		Rows: len(rows), Cols: len(header), SubmittedAt: time.Now().UTC(),
+	}
+	if err := st.CreateJob(man, header, rows); err != nil {
+		t.Fatal(err)
+	}
+	// The earlier run claimed it under a lease that stays live for an hour.
+	if _, _, err := st.ClaimJob("mine-r", localNode, time.Hour, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	m := newTestManager(t, Config{Store: st, LeaseTTL: time.Hour, ClaimInterval: 2 * time.Second})
+	status := waitTerminal(t, m, "mine-r")
+	if status.State != StateSucceeded || status.Node != localNode {
+		t.Fatalf("reclaimed job: %+v, want succeeded on %s", status, localNode)
+	}
+	if status.StartedAt == nil || status.StartedAt.Sub(start) >= 2*time.Second {
+		t.Fatalf("reclaimed at %v, %v after start: not within one claim interval", status.StartedAt, status.StartedAt.Sub(start))
+	}
+	got, err := st.ReadManifest("mine-r")
+	if err != nil || got.Fence != 2 {
+		t.Fatalf("manifest after reclaim: %+v %v, want fence 2", got, err)
+	}
+	h, r, err := m.ResultBytes("mine-r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelease(t, h, r, direct)
+	if n := m.Snapshot().Counters["server.jobs_recovered"]; n != 1 {
+		t.Errorf("jobs_recovered = %d, want 1", n)
+	}
+}
+
+// TestShutdownReleasesDurableJob: a drain deadline that fires while a
+// durable single node runs a job releases the job back to the queue
+// instead of cancelling it, and a manager restarted on the same store
+// finishes it, byte-identically to an uninterrupted run.
+func TestShutdownReleasesDurableJob(t *testing.T) {
+	st := openTestStore(t)
+	header, rows := slowInstance(t)
+	req := JobRequest{K: 2, Algorithm: kanon.AlgoGreedyBall, BlockRows: 500, Refine: true}
+
+	m1 := NewManager(Config{Store: st, Workers: 1, JobTimeout: time.Minute, ResultTTL: time.Hour})
+	job, err := m1.Submit(header, rows, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManifestState(t, st, job.ID, store.StateRunning)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // drain budget already spent
+	if err := m1.Shutdown(ctx); err == nil {
+		t.Fatal("shutdown with expired deadline returned nil")
+	}
+	man := waitManifestState(t, st, job.ID, store.StateQueued)
+	if man.Claim != nil || man.Error != "" {
+		t.Fatalf("released manifest %+v claim %+v, want queued with no lease or error", man, man.Claim)
+	}
+	if n := m1.Snapshot().Counters["server.leases_released"]; n != 1 {
+		t.Errorf("leases_released = %d, want 1", n)
+	}
+
+	m2 := newTestManager(t, Config{Store: st, ResultTTL: time.Hour})
+	if status := waitTerminal(t, m2, job.ID); status.State != StateSucceeded {
+		t.Fatalf("restarted job: %+v", status)
+	}
+	h, r, err := m2.ResultBytes(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := kanon.AnonymizeBlocks(context.Background(), header, rows, req.K, req.BlockRows,
+		&kanon.Options{Refine: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelease(t, h, r, want)
 }

@@ -1,7 +1,8 @@
 // Package server exposes the kanon pipeline as a long-running HTTP
-// service: a bounded job queue with admission control, a worker pool
-// running the anonymization algorithms under per-job deadlines, an
-// in-memory result store with TTL eviction, and graceful shutdown.
+// service: a job store (on disk, replicated, or in memory) whose
+// bounded queue has admission control, one claim loop dispatching its
+// jobs to a worker pool under leases and per-job deadlines, TTL
+// eviction of finished jobs, and graceful shutdown.
 //
 // The HTTP surface:
 //
@@ -193,10 +194,10 @@ func (s *Server) handleReplicaFile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// handleStatus serves a job's lifecycle snapshot. In cluster mode the
-// lookup reads through to the shared store, so any node answers for
-// any job in the cluster — including jobs submitted to, or finished
-// by, a node that no longer exists.
+// handleStatus serves a job's lifecycle snapshot. The lookup reads
+// through to the store, so on a shared store any node answers for any
+// job in the cluster — including jobs submitted to, or finished by, a
+// node that no longer exists.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.m.StatusOf(r.PathValue("id"))
 	if !ok {
@@ -208,8 +209,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleResult streams the anonymized CSV of a succeeded job. A job in
 // any other state answers 409 with its status, so pollers can
-// distinguish "not yet" from "never". Cluster mode serves foreign
-// results from the store's result spool.
+// distinguish "not yet" from "never". Results of jobs another node
+// ran come from the store's result spool.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.m.StatusOf(id)
@@ -263,8 +264,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel requests cancellation and answers with the job's
-// (possibly still running) status. In cluster mode the request reaches
-// jobs anywhere: queued jobs cancel on the spot wherever they were
+// (possibly still running) status. The request reaches jobs anywhere
+// on the store: queued jobs cancel on the spot wherever they were
 // submitted, and a job running on another node is flagged through the
 // store for its lease holder to notice at the next renewal.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

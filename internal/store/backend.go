@@ -6,13 +6,15 @@
 // reads, listings, removal, and an O_EXCL lock-file create — because
 // every correctness argument the store makes (manifest-as-commit-
 // record, locked read-modify-write claims, torn-tail journal repair)
-// reduces to exactly these primitives. Two implementations exist:
+// reduces to exactly these primitives. Three implementations exist:
 //
 //   - Local: one disk directory, the original behavior. N processes
 //     sharing the directory coordinate through the lock primitive.
 //   - Replicated: a Local copy per node plus a pull loop that
 //     converges job state across peers over HTTP (replicated.go), so
 //     a cluster runs with no shared filesystem at all.
+//   - Memory: process memory (memory.go), the store of a kanond run
+//     without a data directory.
 //
 // Paths handed to a Backend are slash-separated and relative to the
 // backend's root; callers (the Store) validate every path component
@@ -64,10 +66,9 @@ type Backend interface {
 	// staleness is judged and how the replication loop detects journal
 	// growth without refetching.
 	Stat(rel string) (size int64, mtime time.Time, err error)
-	// Root is the backend's local root directory. Every Backend in
-	// this package is at least locally materialized (the replicated
-	// backend keeps a full local copy), so tools and tests can always
-	// reach the files.
+	// Root is the backend's local root directory: Local's directory,
+	// the replicated backend's full local copy, and empty for Memory,
+	// whose files exist only in the process.
 	Root() string
 }
 

@@ -259,20 +259,19 @@ func TestReapTerminalOnlyReapsExpiredTerminal(t *testing.T) {
 }
 
 func TestStaleLockBroken(t *testing.T) {
-	s := openClaimStore(t, "job-1")
-	s.SetLockStale(50 * time.Millisecond)
-	lock := filepath.Join(s.Dir(), "jobs", "job-1", "manifest.lock")
-	if err := os.WriteFile(lock, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-	// The abandoned lock is broken and the claim goes through.
-	if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now()); err != nil {
-		t.Fatalf("claim under stale lock: %v", err)
-	}
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		s := open()
+		createJobs(t, s, "job-1")
+		s.SetLockStale(50 * time.Millisecond)
+		// A lock whose holder never releases it: claimers wait out
+		// lockStale, then break it.
+		if err := s.Backend().TryLock("jobs/job-1/manifest.lock"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, time.Now()); err != nil {
+			t.Fatalf("claim under stale lock: %v", err)
+		}
+	})
 }
 
 // TestConcurrentClaimProperty is the cluster-safety property test: N
@@ -281,18 +280,20 @@ func TestStaleLockBroken(t *testing.T) {
 // Exactly one node wins each job, the losers' fenced writes are
 // no-ops, and a released job is claimable again — by exactly one node.
 func TestConcurrentClaimProperty(t *testing.T) {
+	forEachBackend(t, testConcurrentClaimProperty)
+}
+
+func testConcurrentClaimProperty(t *testing.T, open func() *Store) {
 	const nodes, jobs = 8, 16
-	dir := t.TempDir()
-	seed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := open()
 	ids := make([]string, jobs)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("job-%03d", i)
-		if err := seed.CreateJob(testManifest(ids[i]), []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}}); err != nil {
-			t.Fatal(err)
-		}
+	}
+	createJobs(t, seed, ids...)
+	handles := make([]*Store, nodes) // each "node" gets its own handle
+	for n := range handles {
+		handles[n] = open()
 	}
 
 	type win struct {
@@ -306,11 +307,7 @@ func TestConcurrentClaimProperty(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			s, err := Open(dir) // each "node" gets its own handle
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			s := handles[n]
 			node := fmt.Sprintf("node-%d", n)
 			for i, id := range ids {
 				m, _, err := s.ClaimJob(id, node, time.Hour, time.Now())
@@ -370,7 +367,7 @@ func TestConcurrentClaimProperty(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			s, _ := Open(dir)
+			s := handles[n]
 			node := fmt.Sprintf("node-%d", n)
 			for i, id := range ids {
 				if m, _, err := s.ClaimJob(id, node, time.Hour, time.Now()); err == nil {
@@ -397,14 +394,20 @@ func TestConcurrentClaimProperty(t *testing.T) {
 // while another reaps it. The job must end exactly one way — reaped —
 // and no claim may succeed after the reap reports done.
 func TestReapClaimRace(t *testing.T) {
+	forEachBackend(t, testReapClaimRace)
+}
+
+func testReapClaimRace(t *testing.T, open func() *Store) {
 	for round := 0; round < 20; round++ {
-		s := openClaimStore(t, "job-1")
+		s := open()
+		id := fmt.Sprintf("job-%d", round)
+		createJobs(t, s, id)
 		now := time.Now()
-		if _, _, err := s.ClaimJob("job-1", "node-a", time.Minute, now); err != nil {
+		if _, _, err := s.ClaimJob(id, "node-a", time.Minute, now); err != nil {
 			t.Fatal(err)
 		}
 		fin := now.Add(-time.Hour)
-		if _, err := s.UpdateClaimed("job-1", "node-a", 1, func(m *Manifest) error {
+		if _, err := s.UpdateClaimed(id, "node-a", 1, func(m *Manifest) error {
 			m.State = StateFailed
 			m.Error = "x"
 			m.FinishedAt = &fin
@@ -417,20 +420,20 @@ func TestReapClaimRace(t *testing.T) {
 		claimed := make(chan struct{}, 4)
 		for g := 0; g < 3; g++ {
 			wg.Add(1)
+			h := open()
 			go func() {
 				defer wg.Done()
-				h, _ := Open(s.Dir())
-				if _, _, err := h.ClaimJob("job-1", "node-b", time.Minute, time.Now()); err == nil {
+				if _, _, err := h.ClaimJob(id, "node-b", time.Minute, time.Now()); err == nil {
 					claimed <- struct{}{}
 				}
 			}()
 		}
 		wg.Add(1)
 		var reaped bool
+		h := open()
 		go func() {
 			defer wg.Done()
-			h, _ := Open(s.Dir())
-			r, err := h.ReapTerminal("job-1", now)
+			r, err := h.ReapTerminal(id, now)
 			if err != nil {
 				t.Error(err)
 			}

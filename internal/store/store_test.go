@@ -232,62 +232,61 @@ func TestReadRejectsBadID(t *testing.T) {
 }
 
 func TestJobsScanOrderAndSkips(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
-	mk := func(id string, at time.Time) {
-		m := testManifest(id)
-		m.SubmittedAt = at
-		if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}, {"8"}, {"9"}, {"10"}}); err != nil {
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		s := open()
+		base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+		mk := func(id string, at time.Time) {
+			m := testManifest(id)
+			m.SubmittedAt = at
+			if err := s.CreateJob(m, []string{"a"}, [][]string{{"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}, {"8"}, {"9"}, {"10"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mk("late", base.Add(time.Hour))
+		mk("early", base)
+		mk("tie-b", base.Add(time.Minute))
+		mk("tie-a", base.Add(time.Minute))
+
+		// Corruptions the scan must skip without hiding the rest: a torn
+		// manifest, a directory with no manifest, a stray file, and a
+		// directory whose manifest claims a different ID.
+		be := s.Backend()
+		if err := be.WriteAtomic("jobs/late/manifest.json", []byte(`{"version":"kanon-`)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mk("late", base.Add(time.Hour))
-	mk("early", base)
-	mk("tie-b", base.Add(time.Minute))
-	mk("tie-a", base.Add(time.Minute))
+		if err := be.MkdirAll("jobs/empty-dir"); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("jobs/stray.txt", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		liar := testManifest("other-id")
+		lb, err := EncodeManifest(liar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.MkdirAll("jobs/liar"); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("jobs/liar/manifest.json", lb); err != nil {
+			t.Fatal(err)
+		}
 
-	// Corruptions the scan must skip without hiding the rest: a torn
-	// manifest, a directory with no manifest, a stray file, and a
-	// directory whose manifest claims a different ID.
-	jobs := filepath.Join(s.Dir(), "jobs")
-	if err := os.WriteFile(filepath.Join(jobs, "late", "manifest.json"), []byte(`{"version":"kanon-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(jobs, "empty-dir"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobs, "stray.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	liar := testManifest("other-id")
-	lb, err := EncodeManifest(liar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(jobs, "liar"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobs, "liar", "manifest.json"), lb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	manifests, skipped, err := s.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for _, m := range manifests {
-		ids = append(ids, m.ID)
-	}
-	if want := "early,tie-a,tie-b"; strings.Join(ids, ",") != want {
-		t.Errorf("scan order %v, want %s", ids, want)
-	}
-	if len(skipped) != 4 {
-		t.Errorf("skipped %v, want 4 entries", skipped)
-	}
+		manifests, skipped, err := s.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, m := range manifests {
+			ids = append(ids, m.ID)
+		}
+		if want := "early,tie-a,tie-b"; strings.Join(ids, ",") != want {
+			t.Errorf("scan order %v, want %s", ids, want)
+		}
+		if len(skipped) != 4 {
+			t.Errorf("skipped %v, want 4 entries", skipped)
+		}
+	})
 }
 
 func TestCheckpointSaveLoadBlocks(t *testing.T) {
@@ -406,28 +405,26 @@ func TestCheckpointLoadRejectsDamage(t *testing.T) {
 }
 
 func TestWriteFileAtomicReplaces(t *testing.T) {
-	dir := t.TempDir()
-	be, err := NewLocal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "f.json")
-	if err := be.WriteAtomic("f.json", []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := be.WriteAtomic("f.json", []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || string(b) != "two" {
-		t.Fatalf("read %q, %v", b, err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("directory has %d entries (%v)", len(entries), err)
-	}
-	// A missing parent directory fails cleanly, leaving nothing behind.
-	if err := be.WriteAtomic("no-such/f", []byte("x")); err == nil {
-		t.Error("write into missing directory succeeded")
-	}
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		be := open().Backend()
+		if err := be.WriteAtomic("f.json", []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.WriteAtomic("f.json", []byte("two")); err != nil {
+			t.Fatal(err)
+		}
+		b, err := be.ReadFile("f.json")
+		if err != nil || string(b) != "two" {
+			t.Fatalf("read %q, %v", b, err)
+		}
+		// Only the file and the store's jobs/ directory: no temp file left.
+		entries, err := be.List("")
+		if err != nil || len(entries) != 2 || entries[0].Name != "f.json" || entries[1].Name != "jobs" {
+			t.Fatalf("root lists %v (%v)", entries, err)
+		}
+		// A missing parent directory fails cleanly, leaving nothing behind.
+		if err := be.WriteAtomic("no-such/f", []byte("x")); err == nil {
+			t.Error("write into missing directory succeeded")
+		}
+	})
 }
