@@ -10,8 +10,7 @@ import (
 
 	"kanon/internal/algo"
 	"kanon/internal/dataset"
-	"kanon/internal/generalize"
-	"kanon/internal/lattice"
+	"kanon/internal/hierarchy"
 	"kanon/internal/metric"
 	"kanon/internal/refine"
 	"kanon/internal/stream"
@@ -54,10 +53,10 @@ func BenchmarkStream(b *testing.B) {
 
 func BenchmarkLatticeSearch(b *testing.B) {
 	tab := dataset.Census(rand.New(rand.NewSource(3)), 200, 6)
-	scheme := generalize.ForTable(tab)
+	opt := &hierarchy.Options{Spec: hierarchy.SuppressionSpec(tab), MaxSuppress: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := lattice.Search(tab, scheme, 3, 2); err != nil {
+		if _, err := hierarchy.Solve(tab, 3, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

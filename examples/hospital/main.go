@@ -17,16 +17,16 @@ import (
 
 	"kanon"
 	"kanon/internal/generalize"
-	"kanon/internal/relation"
 )
 
 func main() {
-	header := []string{"first", "last", "age", "race"}
-	rows := [][]string{
-		{"Harry", "Stone", "34", "Afr-Am"},
-		{"John", "Reyser", "36", "Cauc"},
-		{"Beatrice", "Stone", "47", "Afr-Am"},
-		{"John", "Ramos", "22", "Hisp"},
+	// The relation and the admissible generalizations the paper
+	// declares up front ("20-40", "R*", …), as a hierarchy spec.
+	tab, spec := generalize.Hospital()
+	header := tab.Schema().Names()
+	rows := make([][]string, tab.Len())
+	for i := range rows {
+		rows[i] = tab.Strings(i)
 	}
 	fmt.Println("Who had an X-ray at this hospital yesterday?")
 	printTable(header, rows)
@@ -40,30 +40,8 @@ func main() {
 	fmt.Printf("\n2-anonymized by suppression (%d stars):\n", res.Cost)
 	printTable(header, res.Rows)
 
-	// Model 2: the paper's generalization hierarchies. Admissible
-	// generalizations are declared up front, as the paper requires.
-	tab := relation.NewTable(relation.NewSchema(header...))
-	for _, r := range rows {
-		if err := tab.AppendStrings(r...); err != nil {
-			log.Fatal(err)
-		}
-	}
-	last := generalize.NewHierarchy("*")
-	last.MustAdd("R*", "*")
-	last.MustAdd("S*", "*")
-	last.MustAdd("Reyser", "R*")
-	last.MustAdd("Ramos", "R*")
-	last.MustAdd("Stone", "S*")
-	age := generalize.NewHierarchy("*")
-	age.MustAdd("20-40", "*")
-	age.MustAdd("40-60", "*")
-	age.MustAdd("22", "20-40")
-	age.MustAdd("34", "20-40")
-	age.MustAdd("36", "20-40")
-	age.MustAdd("47", "40-60")
-	scheme := generalize.Scheme{generalize.Suppression(), last, age, generalize.Suppression()}
-
-	gres, err := generalize.AnonymizeCtx(context.Background(), tab, 2, scheme, 1)
+	// Model 2: the paper's generalization hierarchies.
+	gres, err := generalize.AnonymizeCtx(context.Background(), tab, 2, spec, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

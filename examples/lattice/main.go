@@ -1,8 +1,9 @@
 // Lattice: full-domain generalization — the original Samarati/Sweeney
 // k-anonymity mechanism ([10] in the paper) that the paper's cell-level
 // suppression model refines. Every value of a column is generalized to
-// the same hierarchy level; the search finds the minimal-height lattice
-// node that is k-anonymous, optionally dropping a few outlier rows.
+// the same hierarchy level; the search finds the k-anonymous lattice
+// node with the least information loss (NCP), optionally suppressing a
+// few outlier rows whole.
 //
 //	go run ./examples/lattice
 package main
@@ -12,14 +13,32 @@ import (
 	"log"
 	"strings"
 
-	"kanon/internal/generalize"
-	"kanon/internal/lattice"
-	"kanon/internal/relation"
+	"kanon"
 )
 
+// hierarchies declares each column's levels as a CSV sidecar:
+// column,leaf,level 1,…,root.
+const hierarchies = `zip,15213,152**,*
+zip,15217,152**,*
+zip,15301,153**,*
+zip,15305,153**,*
+zip,90210,902**,*
+age,23,20-39,*
+age,31,20-39,*
+age,34,20-39,*
+age,36,20-39,*
+age,38,20-39,*
+age,52,40-59,*
+age,55,40-59,*
+age,57,40-59,*
+age,59,40-59,*
+sex,M,*
+sex,F,*
+`
+
 func main() {
-	tab := relation.NewTable(relation.NewSchema("zip", "age", "sex"))
-	for _, r := range [][]string{
+	header := []string{"zip", "age", "sex"}
+	rows := [][]string{
 		{"15213", "34", "M"},
 		{"15217", "36", "M"},
 		{"15213", "38", "F"},
@@ -29,58 +48,53 @@ func main() {
 		{"15305", "55", "M"},
 		{"15305", "59", "F"},
 		{"90210", "23", "F"}, // a geographic outlier
-	} {
-		if err := tab.AppendStrings(r...); err != nil {
-			log.Fatal(err)
-		}
 	}
-
-	zip := generalize.NewHierarchy("*")
-	for _, p := range []string{"152**", "153**", "902**"} {
-		zip.MustAdd(p, "*")
+	spec, err := kanon.ParseHierarchySpec([]byte(hierarchies))
+	if err != nil {
+		log.Fatal(err)
 	}
-	zip.MustAdd("15213", "152**")
-	zip.MustAdd("15217", "152**")
-	zip.MustAdd("15301", "153**")
-	zip.MustAdd("15305", "153**")
-	zip.MustAdd("90210", "902**")
-	age := generalize.NewHierarchy("*")
-	for _, b := range []string{"20-39", "40-59"} {
-		age.MustAdd(b, "*")
-	}
-	for _, a := range []string{"23", "31", "34", "36", "38"} {
-		age.MustAdd(a, "20-39")
-	}
-	for _, a := range []string{"52", "55", "57", "59"} {
-		age.MustAdd(a, "40-59")
-	}
-	scheme := generalize.Scheme{zip, age, generalize.Suppression()}
 
 	fmt.Println("input:")
-	printRows(tab.Schema().Names(), allRows(tab))
+	printRows(header, rows)
 
 	for _, maxSup := range []int{0, 1} {
-		node, minimal, err := lattice.Search(tab, scheme, 2, maxSup)
+		res, err := kanon.Anonymize(header, rows, 2, &kanon.Options{
+			Algorithm:   kanon.AlgoHierarchy,
+			Hierarchy:   spec,
+			MaxSuppress: maxSup,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nk = 2, outlier budget %d → minimal height %d, levels %v (of %d minimal nodes)\n",
-			maxSup, node.Height, node.Levels, len(minimal))
-		if len(node.Suppressed) > 0 {
-			fmt.Printf("rows dropped as outliers: %v\n", node.Suppressed)
+		levels, height := cut(spec, header, rows, res.Rows), 0
+		for _, l := range levels {
+			height += l
 		}
-		printRows(tab.Schema().Names(), node.Rows)
+		fmt.Printf("\nk = 2, outlier budget %d → levels %v (height %d), NCP %.3f\n",
+			maxSup, levels, height, res.NCP)
+		if len(res.Suppressed) > 0 {
+			fmt.Printf("rows suppressed as outliers: %v\n", res.Suppressed)
+		}
+		printRows(header, res.Rows)
 	}
-	fmt.Println("\n(with one row of suppression budget the 90210 outlier is dropped")
-	fmt.Println(" instead of dragging every zip code and age to the root)")
+	fmt.Println("\n(with one row of suppression budget the 90210 outlier is suppressed")
+	fmt.Println(" instead of dragging every zip code to the root)")
 }
 
-func allRows(t *relation.Table) [][]string {
-	out := make([][]string, t.Len())
-	for i := range out {
-		out[i] = t.Strings(i)
+// cut reads each column's generalization level off the release: how
+// far up row 0's root-ward path its released label sits (row 0 is
+// never the outlier here).
+func cut(spec *kanon.HierarchySpec, header []string, rows, release [][]string) []int {
+	levels := make([]int, len(header))
+	for j, name := range header {
+		col, _ := spec.Column(name)
+		for l, label := range col.Paths[rows[0][j]] {
+			if label == release[0][j] {
+				levels[j] = l + 1
+			}
+		}
 	}
-	return out
+	return levels
 }
 
 func printRows(header []string, rows [][]string) {

@@ -18,7 +18,7 @@ import (
 	"kanon/internal/dataset"
 	"kanon/internal/exact"
 	"kanon/internal/generalize"
-	"kanon/internal/lattice"
+	"kanon/internal/hierarchy"
 	"kanon/internal/quality"
 	"kanon/internal/refine"
 	"kanon/internal/relation"
@@ -158,7 +158,11 @@ func TestIntegrationGeneralizeDegeneratesToSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := generalize.Apply(tab, r.Partition, generalize.ForTable(tab), 3)
+	cols, err := hierarchy.Compile(hierarchy.SuppressionSpec(tab), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := generalize.Apply(tab, r.Partition, cols, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +186,17 @@ func TestIntegrationLatticeVsCellSuppression(t *testing.T) {
 	tab := dataset.Uniform(rng, 20, 4, 3)
 	k := 2
 
-	node, _, err := lattice.Search(tab, generalize.ForTable(tab), k, 0)
+	node, err := hierarchy.Solve(tab, k, &hierarchy.Options{Spec: hierarchy.SuppressionSpec(tab)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With suppression-only hierarchies, a lattice node stars whole
 	// columns: cost = n × (levels summed over starred columns).
-	latticeStars := tab.Len() * node.Height
+	height := 0
+	for _, l := range node.Levels {
+		height += l
+	}
+	latticeStars := tab.Len() * height
 
 	r, err := algo.GreedyBall(tab, k, nil)
 	if err != nil {

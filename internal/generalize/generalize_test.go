@@ -9,88 +9,34 @@ import (
 
 	"kanon/internal/core"
 	"kanon/internal/dataset"
+	"kanon/internal/hierarchy"
 	"kanon/internal/relation"
 )
 
-func TestHierarchyBasics(t *testing.T) {
-	h := NewHierarchy("*")
-	h.MustAdd("20-40", "*")
-	h.MustAdd("22", "20-40")
-	h.MustAdd("36", "20-40")
-	if h.Root() != "*" {
-		t.Errorf("Root = %q", h.Root())
+// compile binds spec to tab, failing the test on error.
+func compile(t *testing.T, spec *hierarchy.Spec, tab *relation.Table) []*hierarchy.Column {
+	t.Helper()
+	cols, err := hierarchy.Compile(spec, tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.Level("22"); got != 2 {
-		t.Errorf("Level(22) = %d, want 2", got)
-	}
-	if got := h.Level("*"); got != 0 {
-		t.Errorf("Level(*) = %d, want 0", got)
-	}
-	lca, ca, cb := h.LCA("22", "36")
-	if lca != "20-40" || ca != 1 || cb != 1 {
-		t.Errorf("LCA(22,36) = (%q,%d,%d)", lca, ca, cb)
-	}
-	lca, _, _ = h.LCA("22", "unseen")
-	if lca != "*" {
-		t.Errorf("LCA with unknown label = %q, want root", lca)
-	}
-	if got := h.LCAAll([]string{"22", "36", "22"}); got != "20-40" {
-		t.Errorf("LCAAll = %q", got)
-	}
-	if got := h.LCAAll(nil); got != "*" {
-		t.Errorf("LCAAll(nil) = %q, want root", got)
-	}
-	climb, err := h.Climb("22", "*")
-	if err != nil || climb != 2 {
-		t.Errorf("Climb(22,*) = (%d,%v)", climb, err)
-	}
-	if _, err := h.Climb("22", "36"); err == nil {
-		t.Error("Climb accepted a non-ancestor")
-	}
+	return cols
 }
 
-func TestHierarchyAddErrors(t *testing.T) {
-	h := NewHierarchy("*")
-	h.MustAdd("a", "*")
-	if err := h.Add("a", "b"); err == nil {
-		t.Error("accepted conflicting parent")
-	}
-	if err := h.Add("a", "*"); err != nil {
-		t.Errorf("idempotent re-add rejected: %v", err)
-	}
-	if err := h.Add("*", "a"); err == nil {
-		t.Error("accepted parent for root")
-	}
-	h.MustAdd("b", "a")
-	if err := h.Add("a", "b"); err == nil {
-		t.Error("accepted parent cycle")
-	}
-}
-
-func TestSuppressionHierarchy(t *testing.T) {
-	h := Suppression()
-	lca, ca, cb := h.LCA("x", "y")
-	if lca != relation.StarString || ca != 1 || cb != 1 {
-		t.Errorf("LCA(x,y) = (%q,%d,%d), want (*,1,1)", lca, ca, cb)
-	}
-	lca, ca, cb = h.LCA("x", "x")
-	if lca != "x" || ca != 0 || cb != 0 {
-		t.Errorf("LCA(x,x) = (%q,%d,%d), want (x,0,0)", lca, ca, cb)
-	}
-}
-
-// TestDistanceIsMetric: the scheme-induced dissimilarity obeys the
+// TestDistanceIsMetric: the hierarchy-induced dissimilarity obeys the
 // triangle inequality (it is a sum of tree metrics).
 func TestDistanceIsMetric(t *testing.T) {
-	h := NewHierarchy("*")
-	h.MustAdd("lo", "*")
-	h.MustAdd("hi", "*")
+	paths := map[string][]string{}
 	for _, v := range []string{"1", "2", "3"} {
-		h.MustAdd(v, "lo")
+		paths[v] = []string{"lo", "*"}
 	}
 	for _, v := range []string{"7", "8", "9"} {
-		h.MustAdd(v, "hi")
+		paths[v] = []string{"hi", "*"}
 	}
+	spec := &hierarchy.Spec{Columns: []hierarchy.ColumnSpec{
+		{Name: "a", Paths: paths},
+		{Name: "b", Paths: paths},
+	}}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vals := []string{"1", "2", "3", "7", "8", "9"}
@@ -103,7 +49,10 @@ func TestDistanceIsMetric(t *testing.T) {
 				return false
 			}
 		}
-		s := Scheme{h, h}
+		s, err := hierarchy.Compile(spec, tab)
+		if err != nil {
+			return false
+		}
 		duv := Distance(tab, s, 0, 1)
 		if duv != Distance(tab, s, 1, 0) {
 			return false
@@ -118,42 +67,13 @@ func TestDistanceIsMetric(t *testing.T) {
 	}
 }
 
-// hospital reproduces the paper's §1 relation and hierarchies.
-func hospital() (*relation.Table, Scheme) {
-	tab := relation.NewTable(relation.NewSchema("first", "last", "age", "race"))
-	for _, r := range [][]string{
-		{"Harry", "Stone", "34", "Afr-Am"},
-		{"John", "Reyser", "36", "Cauc"},
-		{"Beatrice", "Stone", "47", "Afr-Am"},
-		{"John", "Ramos", "22", "Hisp"},
-	} {
-		if err := tab.AppendStrings(r...); err != nil {
-			panic(err)
-		}
-	}
-	last := NewHierarchy("*")
-	last.MustAdd("R*", "*")
-	last.MustAdd("S*", "*")
-	last.MustAdd("Reyser", "R*")
-	last.MustAdd("Ramos", "R*")
-	last.MustAdd("Stone", "S*")
-	age := NewHierarchy("*")
-	age.MustAdd("20-40", "*")
-	age.MustAdd("40-60", "*")
-	age.MustAdd("22", "20-40")
-	age.MustAdd("34", "20-40")
-	age.MustAdd("36", "20-40")
-	age.MustAdd("47", "40-60")
-	return tab, Scheme{Suppression(), last, age, Suppression()}
-}
-
 // TestHospitalExample reproduces the paper's §1 2-anonymization: with
 // groups {Harry Stone, Beatrice Stone} and {John Reyser, John Ramos},
 // the output matches the printed table.
 func TestHospitalExample(t *testing.T) {
-	tab, scheme := hospital()
+	tab, spec := Hospital()
 	p := &core.Partition{Groups: [][]int{{0, 2}, {1, 3}}}
-	r, err := Apply(tab, p, scheme, 2)
+	r, err := Apply(tab, p, compile(t, spec, tab), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +99,8 @@ func TestHospitalExample(t *testing.T) {
 // TestAnonymizeFindsHospitalGrouping: the ball-greedy under the
 // generalization metric should recover the paper's grouping on its own.
 func TestAnonymizeFindsHospitalGrouping(t *testing.T) {
-	tab, scheme := hospital()
-	r, err := AnonymizeCtx(context.Background(), tab, 2, scheme, 1)
+	tab, spec := Hospital()
+	r, err := AnonymizeCtx(context.Background(), tab, 2, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,34 +118,35 @@ func TestAnonymizeFindsHospitalGrouping(t *testing.T) {
 }
 
 func TestApplyValidation(t *testing.T) {
-	tab, scheme := hospital()
+	tab, spec := Hospital()
+	cols := compile(t, spec, tab)
 	bad := &core.Partition{Groups: [][]int{{0}, {1, 2, 3}}}
-	if _, err := Apply(tab, bad, scheme, 2); err == nil {
+	if _, err := Apply(tab, bad, cols, 2); err == nil {
 		t.Error("accepted undersized group")
 	}
-	short := Scheme{Suppression()}
 	good := &core.Partition{Groups: [][]int{{0, 2}, {1, 3}}}
-	if _, err := Apply(tab, good, short, 2); err == nil {
-		t.Error("accepted wrong-length scheme")
+	if _, err := Apply(tab, good, cols[:1], 2); err == nil {
+		t.Error("accepted wrong-length column list")
 	}
 }
 
 func TestAnonymizeErrors(t *testing.T) {
-	tab, scheme := hospital()
-	if _, err := AnonymizeCtx(context.Background(), tab, 0, scheme, 1); err == nil {
+	tab, spec := Hospital()
+	if _, err := AnonymizeCtx(context.Background(), tab, 0, spec, 1); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := AnonymizeCtx(context.Background(), tab, 9, scheme, 1); err == nil {
+	if _, err := AnonymizeCtx(context.Background(), tab, 9, spec, 1); err == nil {
 		t.Error("accepted n < k")
 	}
-	if _, err := AnonymizeCtx(context.Background(), tab, 2, scheme[:2], 1); err == nil {
-		t.Error("accepted wrong-length scheme")
+	short := &hierarchy.Spec{Columns: spec.Columns[:2]}
+	if _, err := AnonymizeCtx(context.Background(), tab, 2, short, 1); err == nil {
+		t.Error("accepted a spec missing columns")
 	}
 }
 
 func TestAnonymizeK1(t *testing.T) {
-	tab, scheme := hospital()
-	r, err := AnonymizeCtx(context.Background(), tab, 1, scheme, 1)
+	tab, spec := Hospital()
+	r, err := AnonymizeCtx(context.Background(), tab, 1, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +158,15 @@ func TestAnonymizeK1(t *testing.T) {
 	}
 }
 
-// TestSuppressionSchemeMatchesSuppressionCost: under all-suppression
-// hierarchies, Apply's cost equals exactly the partition suppressor's
+// TestSuppressionSchemeMatchesSuppressionCost: under the all-suppress
+// spec, Apply's cost equals exactly the partition suppressor's
 // star count (the models coincide).
 func TestSuppressionSchemeMatchesSuppressionCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
 		tab := dataset.Uniform(rng, 10, 4, 3)
 		p := &core.Partition{Groups: [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8, 9}}}
-		r, err := Apply(tab, p, ForTable(tab), 2)
+		r, err := Apply(tab, p, compile(t, hierarchy.SuppressionSpec(tab), tab), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,13 +180,16 @@ func TestSuppressionSchemeMatchesSuppressionCost(t *testing.T) {
 // hierarchy.
 func TestAnonymizeRandomHierarchies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	h := NewHierarchy("*")
+	paths := map[string][]string{}
 	for g := 0; g < 3; g++ {
 		mid := "g" + string(rune('A'+g))
-		h.MustAdd(mid, "*")
 		for v := 0; v < 4; v++ {
-			h.MustAdd(string(rune('a'+g*4+v)), mid)
+			paths[string(rune('a'+g*4+v))] = []string{mid, "*"}
 		}
+	}
+	spec := &hierarchy.Spec{}
+	for _, name := range []string{"x", "y", "z"} {
+		spec.Columns = append(spec.Columns, hierarchy.ColumnSpec{Name: name, Paths: paths})
 	}
 	tab := relation.NewTable(relation.NewSchema("x", "y", "z"))
 	for i := 0; i < 18; i++ {
@@ -277,7 +201,7 @@ func TestAnonymizeRandomHierarchies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := AnonymizeCtx(context.Background(), tab, 3, Scheme{h, h, h}, 1)
+	r, err := AnonymizeCtx(context.Background(), tab, 3, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,5 +210,37 @@ func TestAnonymizeRandomHierarchies(t *testing.T) {
 	}
 	if r.Cost <= 0 {
 		t.Error("random 18-row table should have positive generalization cost")
+	}
+}
+
+// TestPreSuppressedCells: an input star costs nothing and meets other
+// values at a root spelled "*"; under any other root it never meets
+// them, and the group's cell stays suppressed.
+func TestPreSuppressedCells(t *testing.T) {
+	tab := relation.NewTable(relation.NewSchema("a", "b"))
+	for _, r := range [][]string{{"x", "x"}, {"*", "*"}} {
+		if err := tab.AppendStrings(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := &hierarchy.Spec{Columns: []hierarchy.ColumnSpec{
+		{Name: "a", Paths: map[string][]string{"x": {"X", "*"}}},
+		{Name: "b", Paths: map[string][]string{"x": {"X", "any"}}},
+	}}
+	cols := compile(t, spec, tab)
+	r, err := Apply(tab, &core.Partition{Groups: [][]int{{0, 1}}}, cols, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range r.Rows {
+		if strings.Join(row, ",") != "*,*" {
+			t.Errorf("row %d = %v, want [* *]", i, row)
+		}
+	}
+	if r.Cost != 4 { // row 0 climbs both columns to level 2; the stars are free
+		t.Errorf("cost = %d, want 4", r.Cost)
+	}
+	if d := Distance(tab, cols, 0, 1); d != 8 {
+		t.Errorf("distance = %d, want 8", d)
 	}
 }

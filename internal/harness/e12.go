@@ -6,8 +6,7 @@ import (
 	"kanon/internal/algo"
 	"kanon/internal/attribute"
 	"kanon/internal/dataset"
-	"kanon/internal/generalize"
-	"kanon/internal/lattice"
+	"kanon/internal/hierarchy"
 	"kanon/internal/refine"
 )
 
@@ -27,7 +26,7 @@ func runE12(cfg Config) ([]*Table, error) {
 			"lattice (2-level)", "attr = lattice", "cell ≤ attribute"},
 		Notes: []string{
 			"all costs in suppressed entries; attribute cost = dropped columns × n; lattice cost = height × n under suppression-only hierarchies",
-			"the attribute solver (subset enumeration) and the lattice search (monotone level walk) are independent implementations of the same optimum",
+			"the attribute solver (subset enumeration) and internal/hierarchy's lattice search (OLA, minimum NCP) are independent implementations of the same optimum",
 		},
 	}
 	shapes := []struct{ n, m int }{{40, 6}, {80, 8}}
@@ -63,11 +62,15 @@ func runE12(cfg Config) ([]*Table, error) {
 					}
 					attrCost := len(attr.Dropped) * tab.Len()
 
-					node, _, err := lattice.Search(tab, generalize.ForTable(tab), k, 0)
+					lat, err := hierarchy.Solve(tab, k, &hierarchy.Options{Spec: hierarchy.SuppressionSpec(tab)})
 					if err != nil {
 						return nil, err
 					}
-					latCost := node.Height * tab.Len()
+					height := 0
+					for _, l := range lat.Levels {
+						height += l
+					}
+					latCost := height * tab.Len()
 
 					sumCell += cellCost
 					sumAttr += attrCost

@@ -66,6 +66,35 @@ func TestE4E5AllIffsHold(t *testing.T) {
 	}
 }
 
+// TestE12SolversAgree: in every E12 row the attribute solver and the
+// hierarchy lattice search find the same optimum, and cell suppression
+// never costs more than attribute suppression.
+func TestE12SolversAgree(t *testing.T) {
+	e, _ := Find("E12")
+	tables, err := e.Run(Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := tables[0]
+	for _, col := range []string{"attr = lattice", "cell ≤ attribute"} {
+		j := -1
+		for i, h := range tbl.Header {
+			if h == col {
+				j = i
+			}
+		}
+		if j == -1 {
+			t.Fatalf("E12 table missing %q column", col)
+		}
+		for _, r := range tbl.Rows {
+			parts := strings.Split(r[j], "/")
+			if len(parts) != 2 || parts[0] != parts[1] {
+				t.Errorf("E12 row %v: %q reads %q, want n/n", r, col, r[j])
+			}
+		}
+	}
+}
+
 func TestE9NoViolations(t *testing.T) {
 	e, _ := Find("E9")
 	tables, err := e.Run(Config{Quick: true})

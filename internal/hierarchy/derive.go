@@ -91,3 +91,14 @@ func deriveTree(alphabet []string) map[string][]string {
 	}
 	return paths
 }
+
+// SuppressionSpec declares every column of t with the paper's
+// two-level value → ★ hierarchy, under which full-domain
+// generalization is whole-attribute suppression.
+func SuppressionSpec(t *relation.Table) *Spec {
+	s := &Spec{Version: SpecVersion}
+	for _, name := range t.Schema().Names() {
+		s.Columns = append(s.Columns, ColumnSpec{Name: name, Kind: KindSuppress})
+	}
+	return s
+}

@@ -209,3 +209,61 @@ func TestPreStarredRowsStayStarred(t *testing.T) {
 		}
 	}
 }
+
+// TestSuppressionBudgetLowersHeight: three rows pair up after one
+// generalization, and a single outlier otherwise forces the root. With
+// a one-row budget the outlier is suppressed instead.
+func TestSuppressionBudgetLowersHeight(t *testing.T) {
+	tab := tableOf(t, []string{"v"}, [][]string{{"a1"}, {"a2"}, {"a1"}, {"zz"}})
+	spec := &Spec{Columns: []ColumnSpec{{Name: "v", Paths: map[string][]string{
+		"a1": {"A", "*"}, "a2": {"A", "*"}, "zz": {"Z", "*"},
+	}}}}
+	strict, err := Solve(tab, 2, &Options{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(strict.Levels, []int{2}) { // must climb to * to merge zz with the rest
+		t.Errorf("strict levels = %v, want [2]", strict.Levels)
+	}
+	relaxed, err := Solve(tab, 2, &Options{Spec: spec, MaxSuppress: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(relaxed.Levels, []int{1}) {
+		t.Errorf("relaxed levels = %v, want [1]", relaxed.Levels)
+	}
+	if !reflect.DeepEqual(relaxed.Suppressed, []int{3}) {
+		t.Errorf("suppressed = %v, want [3]", relaxed.Suppressed)
+	}
+	for i := 0; i < 3; i++ {
+		if relaxed.Rows[i][0] != "A" {
+			t.Errorf("kept row %d released as %q, want A", i, relaxed.Rows[i][0])
+		}
+	}
+}
+
+// TestSuppressionSpec: under the all-suppress spec a uniform column
+// stays raw while a distinguishing one is starred.
+func TestSuppressionSpec(t *testing.T) {
+	tab := tableOf(t, []string{"a", "b"}, [][]string{{"p", "1"}, {"p", "2"}})
+	res, err := Solve(tab, 2, &Options{Spec: SuppressionSpec(tab)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Levels, []int{0, 1}) || res.Rows[0][0] != "p" || res.Rows[0][1] != relation.StarString {
+		t.Errorf("levels %v, rows %v; want [0 1] with only column b starred", res.Levels, res.Rows)
+	}
+}
+
+// TestSearchHeightZeroWhenAlreadyAnonymous: an already k-anonymous
+// table stays at the bottom of the lattice under the all-suppress spec.
+func TestSearchHeightZeroWhenAlreadyAnonymous(t *testing.T) {
+	same := tableOf(t, []string{"a"}, [][]string{{"x"}, {"x"}, {"x"}})
+	res, err := Solve(same, 3, &Options{Spec: SuppressionSpec(same)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Levels, []int{0}) {
+		t.Errorf("already-anonymous levels = %v, want [0]", res.Levels)
+	}
+}
