@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kanon/internal/algo"
+	"kanon/internal/core"
 	"kanon/internal/dataset"
 	"kanon/internal/hierarchy"
 	"kanon/internal/metric"
@@ -16,25 +17,36 @@ import (
 	"kanon/internal/stream"
 )
 
+// BenchmarkRefine times the local search from a ball-greedy start: the
+// small whole table, one stream block's worth of census rows, and a
+// large whole table where the O(n²) swap scan dominates.
 func BenchmarkRefine(b *testing.B) {
-	tab := benchTable(b, 150, 6)
-	base, err := algo.GreedyBall(tab, 3, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Refinement mutates the partition; clone per iteration.
-		p := base.Partition
-		groups := make([][]int, len(p.Groups))
-		for gi, g := range p.Groups {
-			groups[gi] = append([]int(nil), g...)
-		}
-		clone := *p
-		clone.Groups = groups
-		if _, err := refine.Partition(tab, &clone, 3, nil); err != nil {
+	for _, c := range []struct {
+		name string
+		n, m int
+	}{
+		{"n=150", 150, 6},
+		{"block=256", 256, 8},
+		{"n=2000", 2000, 8},
+	} {
+		tab := benchTable(b, c.n, c.m)
+		base, err := algo.GreedyBall(tab, 3, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// Refinement mutates the partition; clone per iteration.
+				groups := make([][]int, len(base.Partition.Groups))
+				for gi, g := range base.Partition.Groups {
+					groups[gi] = append([]int(nil), g...)
+				}
+				if _, err := refine.Partition(tab, &core.Partition{Groups: groups}, 3, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

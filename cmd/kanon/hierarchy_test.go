@@ -100,6 +100,9 @@ func TestHierarchyFlagValidation(t *testing.T) {
 	if _, _, err := runCLI(t, []string{"-k", "2", "-algo", "hierarchy", "-block", "10"}, sampleCSV); err == nil {
 		t.Error("-block accepted with -algo hierarchy")
 	}
+	if _, _, err := runCLI(t, []string{"-k", "2", "-algo", "hierarchy", "-refine"}, sampleCSV); err == nil {
+		t.Error("-refine accepted with -algo hierarchy")
+	}
 	if _, _, err := runCLI(t, []string{"-k", "2", "-algo", "hierarchy", "-hierarchy", "/nonexistent/spec.json"}, sampleCSV); err == nil {
 		t.Error("missing spec file accepted")
 	}

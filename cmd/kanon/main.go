@@ -97,6 +97,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if alg == kanon.AlgoHierarchy && *block > 0 {
 		return fmt.Errorf("-algo hierarchy searches the whole lattice and cannot stream; drop -block")
 	}
+	if alg == kanon.AlgoHierarchy && *refine {
+		return fmt.Errorf("-algo hierarchy releases a generalization, not a partition, so there is nothing to refine; drop -refine")
+	}
 	var hspec *kanon.HierarchySpec
 	if *hierPath != "" {
 		b, err := os.ReadFile(*hierPath)

@@ -119,10 +119,11 @@ type benchSpec struct {
 
 // benchSpecs returns the pinned suite. Every solver family appears:
 // the two greedy algorithms (implicit and materialized families), the
-// weighted variant, the pattern cover, the exact DP, and the streaming
-// pipeline. Instances are sized so the full suite finishes in a few
-// seconds — small enough for CI, large enough that a real regression
-// in a hot path moves the needle.
+// weighted variant, the pattern cover, the exact DP, the streaming
+// pipeline (with and without local search), and the hierarchy solver.
+// Instances are sized so the full suite finishes in a few seconds —
+// small enough for CI, large enough that a real regression in a hot
+// path moves the needle.
 func benchSpecs() []benchSpec {
 	ball := func(t *relation.Table, k, workers int, kern metric.Choice) (int, error) {
 		r, err := algo.GreedyBall(t, k, &algo.Options{Workers: workers, Kernel: kern})
@@ -207,15 +208,26 @@ func benchSpecs() []benchSpec {
 			}
 			return r.Cost, nil
 		}},
+		// The block path with local search on, as the CLI's -block 256
+		// -refine runs it: refine does most of the work, and the exact
+		// cost pins its move sequence. It stays last because each
+		// case's table seed derives from its index.
+		{name: "stream_refine", n: 4096, m: 8, k: 3, quickN: 1024, run: func(t *relation.Table, k, workers int, kern metric.Choice) (int, error) {
+			r, err := stream.Anonymize(t, k, &stream.Options{BlockRows: 256, Refine: true, Workers: workers, Kernel: kern})
+			if err != nil {
+				return 0, err
+			}
+			return r.Cost, nil
+		}},
 	}
 }
 
 // benchTable builds the pinned instance for a spec: census-like data
-// for the census case, planted clusters elsewhere (per-case seeds are
-// derived from the suite seed so cases are independent).
+// for the census and refine cases, planted clusters elsewhere (per-case
+// seeds are derived from the suite seed so cases are independent).
 func benchTable(spec benchSpec, n int, seed int64, idx int) *relation.Table {
 	rng := rand.New(rand.NewSource(seed + int64(idx)*1_000_003))
-	if spec.name == "ball_census" || spec.name == "hier_census" {
+	if spec.name == "ball_census" || spec.name == "hier_census" || spec.name == "stream_refine" {
 		return dataset.Census(rng, n, spec.m)
 	}
 	return dataset.Planted(rng, n, spec.m, 6, spec.k, 1)

@@ -22,6 +22,7 @@ package refine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"kanon/internal/core"
 	"kanon/internal/relation"
@@ -56,10 +57,110 @@ type Stats struct {
 	CostAfter  int
 }
 
+// mixed marks a signature column on which a set's members disagree.
+// Symbol codes are ≥ 0 and relation.Star is −1, so mixed never equals
+// a row value and a pre-starred cell prices like any other value, as
+// it does in core.Anon.
+const mixed int32 = math.MinInt32
+
+// joinCost is core.Anon(S ∪ {r}) for a set S of size n with column
+// signature sig: each column where sig differs from r stars all n+1
+// rows. With S empty, {r} alone costs nothing.
+func joinCost(n int, sig []int32, r relation.Row) int {
+	if n == 0 {
+		return 0
+	}
+	d := 0
+	for c, v := range sig {
+		if v != r[c] {
+			d++
+		}
+	}
+	return (n + 1) * d
+}
+
+// sigCost is core.Anon(S) for a set S of size n with signature sig.
+func sigCost(n int, sig []int32) int {
+	d := 0
+	for _, v := range sig {
+		if v == mixed {
+			d++
+		}
+	}
+	return n * d
+}
+
+// search is the local search's state. Besides the groups it caches
+// each group's cost and column signature, and each row's leave-out
+// signature (its group's signature with the row removed), so that a
+// candidate move prices in O(m) without building the moved groups.
+type search struct {
+	t      *relation.Table
+	m      int
+	groups [][]int
+	cost   []int
+	sig    [][]int32
+	owner  []int
+	out    []int32 // row i's leave-out signature is out[i*m : (i+1)*m]
+	frees  []bool  // row i's departure unmixes a column of its group
+}
+
+func (s *search) outSig(i int) []int32 { return s.out[i*s.m : (i+1)*s.m] }
+
+// resign recomputes group gi's signature and cost, and its members'
+// owner, leave-out signature and frees flag, in O(|group|·m). Per
+// column, the first two distinct values and their counts decide every
+// leave-out: removing a row leaves the column uniform only when all
+// the other rows share one value.
+func (s *search) resign(gi int) {
+	g, sig := s.groups[gi], s.sig[gi]
+	for _, r := range g {
+		s.owner[r], s.frees[r] = gi, false
+	}
+	for c := range sig {
+		a, b, na, nb, third := mixed, mixed, 0, 0, false
+		for _, r := range g {
+			switch v := s.t.Row(r)[c]; {
+			case na == 0 || v == a:
+				a, na = v, na+1
+			case nb == 0 || v == b:
+				b, nb = v, nb+1
+			default:
+				third = true
+			}
+		}
+		sig[c] = a
+		if nb > 0 {
+			sig[c] = mixed
+		}
+		for _, r := range g {
+			out := a
+			if nb > 0 {
+				switch v := s.t.Row(r)[c]; {
+				case !third && v == a && na == 1:
+					out = b
+				case !third && v == b && nb == 1:
+					out = a
+				default:
+					out = mixed
+				}
+				s.frees[r] = s.frees[r] || out != mixed
+			}
+			s.out[r*s.m+c] = out
+		}
+	}
+	s.cost[gi] = sigCost(len(g), sig)
+}
+
 // Partition improves p in place and returns search statistics. The
 // input must be a valid partition with groups of size ≥ k; group sizes
 // may grow past 2k−1 (that cap is an analysis device, not a feasibility
 // constraint — larger uniform groups are fine and sometimes cheaper).
+//
+// Candidate moves are priced from cached column signatures, and only an
+// accepted move re-signs the groups it changed. The pricing is exact:
+// the search takes the same moves, in the same order, as pricing each
+// candidate with core.Anon on the moved groups would.
 func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stats, error) {
 	if opt == nil {
 		opt = &Options{}
@@ -73,7 +174,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		maxRounds = 8
 	}
 	// poll amortizes the context check over pollEvery candidate
-	// evaluations (each one core.Anon call, the scan's unit of work).
+	// evaluations, the scan's unit of work.
 	evals := 0
 	poll := func() error {
 		evals++
@@ -86,79 +187,68 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		return nil, fmt.Errorf("refine: %w", err)
 	}
 
-	groups := p.Groups
-	cost := make([]int, len(groups))
-	for gi, g := range groups {
-		cost[gi] = core.Anon(t, g)
+	n, m := t.Len(), t.Degree()
+	s := &search{
+		t: t, m: m, groups: p.Groups,
+		cost:  make([]int, len(p.Groups)),
+		sig:   make([][]int32, len(p.Groups)),
+		owner: make([]int, n),
+		out:   make([]int32, n*m),
+		frees: make([]bool, n),
 	}
+	flat := make([]int32, len(p.Groups)*m)
 	total := 0
-	for _, c := range cost {
-		total += c
+	for gi := range s.groups {
+		s.sig[gi] = flat[gi*m : (gi+1)*m]
+		s.resign(gi)
+		total += s.cost[gi]
 	}
 	st := &Stats{CostBefore: total}
-
-	owner := make([]int, t.Len())
-	for gi, g := range groups {
-		for _, i := range g {
-			owner[i] = gi
-		}
+	// A cancelled search still hands back its (valid) groups.
+	fail := func(err error) (*Stats, error) {
+		p.Groups = s.groups
+		return nil, fmt.Errorf("refine: %w", err)
 	}
-
-	// withRow / withoutRow build candidate groups without mutating.
-	withRow := func(g []int, i int) []int {
-		out := make([]int, 0, len(g)+1)
-		out = append(out, g...)
-		return append(out, i)
-	}
-	withoutRow := func(g []int, i int) []int {
-		out := make([]int, 0, len(g)-1)
-		for _, x := range g {
-			if x != i {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
+	// Dissolve scratch, indexed by group: the rows tentatively joining
+	// each destination and that destination's signature with them.
+	extra := make([][]int, len(s.groups))
+	esig := make([][]int32, len(s.groups))
+	var touched []int
 
 	improved := true
 	for st.Rounds = 0; improved && st.Rounds < maxRounds; st.Rounds++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("refine: %w", err)
+			return fail(err)
 		}
 		improved = false
 
 		// Relocate pass.
-		for i := 0; i < t.Len(); i++ {
-			from := owner[i]
-			if len(groups[from]) <= k {
+		for i := 0; i < n; i++ {
+			from := s.owner[i]
+			if len(s.groups[from]) <= k {
 				continue
 			}
-			shrunk := withoutRow(groups[from], i)
-			shrunkCost := core.Anon(t, shrunk)
+			ri := t.Row(i)
+			shrunkCost := sigCost(len(s.groups[from])-1, s.outSig(i))
 			bestG, bestDelta := -1, 0
-			var bestGrown []int
-			var bestGrownCost int
-			for gi := range groups {
+			for gi := range s.groups {
 				if gi == from {
 					continue
 				}
 				if err := poll(); err != nil {
-					return nil, fmt.Errorf("refine: %w", err)
+					return fail(err)
 				}
-				grown := withRow(groups[gi], i)
-				grownCost := core.Anon(t, grown)
-				delta := (shrunkCost + grownCost) - (cost[from] + cost[gi])
+				grownCost := joinCost(len(s.groups[gi]), s.sig[gi], ri)
+				delta := (shrunkCost + grownCost) - (s.cost[from] + s.cost[gi])
 				if delta < bestDelta {
 					bestG, bestDelta = gi, delta
-					bestGrown, bestGrownCost = grown, grownCost
 				}
 			}
 			if bestG >= 0 {
-				groups[from] = shrunk
-				cost[from] = shrunkCost
-				groups[bestG] = bestGrown
-				cost[bestG] = bestGrownCost
-				owner[i] = bestG
+				s.groups[from] = withoutRow(s.groups[from], i)
+				s.groups[bestG] = append(append([]int(nil), s.groups[bestG]...), i)
+				s.resign(from)
+				s.resign(bestG)
 				total += bestDelta
 				st.Relocates++
 				improved = true
@@ -166,100 +256,111 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		}
 
 		// Swap pass.
-		for i := 0; i < t.Len(); i++ {
-			gi := owner[i]
-			for j := i + 1; j < t.Len(); j++ {
-				gj := owner[j]
+		for i := 0; i < n; i++ {
+			gi := s.owner[i]
+			for j := i + 1; j < n; j++ {
+				gj := s.owner[j]
 				if gi == gj {
 					continue
 				}
 				if err := poll(); err != nil {
-					return nil, fmt.Errorf("refine: %w", err)
+					return fail(err)
 				}
-				newI := withRow(withoutRow(groups[gi], i), j)
-				newJ := withRow(withoutRow(groups[gj], j), i)
-				ci, cj := core.Anon(t, newI), core.Anon(t, newJ)
-				delta := (ci + cj) - (cost[gi] + cost[gj])
+				// If neither departure unmixes a column, each side
+				// costs at least what it did: the swap cannot pay.
+				if !s.frees[i] && !s.frees[j] {
+					continue
+				}
+				ci := joinCost(len(s.groups[gi])-1, s.outSig(i), t.Row(j))
+				cj := joinCost(len(s.groups[gj])-1, s.outSig(j), t.Row(i))
+				delta := (ci + cj) - (s.cost[gi] + s.cost[gj])
 				if delta < 0 {
-					groups[gi], groups[gj] = newI, newJ
-					cost[gi], cost[gj] = ci, cj
-					owner[i], owner[j] = gj, gi
+					s.groups[gi] = append(withoutRow(s.groups[gi], i), j)
+					s.groups[gj] = append(withoutRow(s.groups[gj], j), i)
+					s.resign(gi)
+					s.resign(gj)
 					total += delta
 					st.Swaps++
 					improved = true
-					gi = owner[i]
+					gi = gj
 				}
 			}
 		}
 
 		// Dissolve pass: disband a whole group into the others.
 		if !opt.NoDissolve {
-			for gi := 0; gi < len(groups); gi++ {
-				if len(groups) == 1 {
+			for gi := 0; gi < len(s.groups); gi++ {
+				if len(s.groups) == 1 {
 					break
 				}
-				g := groups[gi]
+				g := s.groups[gi]
 				if len(g) > 2*k-1 {
 					continue // large groups rarely profit and blow up the scan
 				}
 				// Tentatively place each row in the group where its
 				// marginal cost (including earlier tentative joiners)
 				// is lowest.
-				extra := map[int][]int{} // dst → rows joining it
-				feasible := true
+				for _, dst := range touched {
+					extra[dst] = extra[dst][:0]
+				}
+				touched = touched[:0]
 				for _, row := range g {
+					r := t.Row(row)
 					bestDst, bestMarginal := -1, 0
-					for gj := range groups {
+					for gj := range s.groups {
 						if gj == gi {
 							continue
 						}
 						if err := poll(); err != nil {
-							return nil, fmt.Errorf("refine: %w", err)
+							return fail(err)
 						}
-						cand := withRow(append(append([]int(nil), groups[gj]...), extra[gj]...), row)
-						marginal := core.Anon(t, cand) - cost[gj]
+						size, sig := len(s.groups[gj]), s.sig[gj]
+						if e := len(extra[gj]); e > 0 {
+							size, sig = size+e, esig[gj]
+						}
+						marginal := joinCost(size, sig, r) - s.cost[gj]
 						if bestDst == -1 || marginal < bestMarginal {
 							bestDst, bestMarginal = gj, marginal
 						}
 					}
-					if bestDst == -1 {
-						feasible = false
-						break
+					if len(extra[bestDst]) == 0 {
+						touched = append(touched, bestDst)
+						esig[bestDst] = append(esig[bestDst][:0], s.sig[bestDst]...)
 					}
 					extra[bestDst] = append(extra[bestDst], row)
-				}
-				if !feasible {
-					continue
+					for c, v := range esig[bestDst] {
+						if v != r[c] {
+							esig[bestDst][c] = mixed
+						}
+					}
 				}
 				// Evaluate the aggregate delta with all placements applied.
-				newCosts := map[int]int{}
-				for dst, rows := range extra {
-					cand := append(append([]int(nil), groups[dst]...), rows...)
-					newCosts[dst] = core.Anon(t, cand)
-				}
-				delta := -cost[gi]
-				for dst, nc := range newCosts {
-					delta += nc - cost[dst]
+				delta := -s.cost[gi]
+				for _, dst := range touched {
+					delta += sigCost(len(s.groups[dst])+len(extra[dst]), esig[dst]) - s.cost[dst]
 				}
 				if delta >= 0 {
 					continue
 				}
-				for dst, rows := range extra {
+				for _, dst := range touched {
 					// Copy before growing: a group may share backing
 					// storage with a sibling (e.g. after an oversize
 					// split), and in-place append would clobber it.
-					groups[dst] = append(append([]int(nil), groups[dst]...), rows...)
-					cost[dst] = newCosts[dst]
-					for _, r := range rows {
-						owner[r] = dst
+					s.groups[dst] = append(append([]int(nil), s.groups[dst]...), extra[dst]...)
+				}
+				s.groups = append(s.groups[:gi], s.groups[gi+1:]...)
+				s.cost = append(s.cost[:gi], s.cost[gi+1:]...)
+				s.sig = append(s.sig[:gi], s.sig[gi+1:]...)
+				for r := range s.owner {
+					if s.owner[r] > gi {
+						s.owner[r]--
 					}
 				}
-				groups = append(groups[:gi], groups[gi+1:]...)
-				cost = append(cost[:gi], cost[gi+1:]...)
-				for r := range owner {
-					if owner[r] > gi {
-						owner[r]--
+				for _, dst := range touched {
+					if dst > gi {
+						dst--
 					}
+					s.resign(dst)
 				}
 				total += delta
 				st.Dissolves++
@@ -269,7 +370,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		}
 	}
 
-	p.Groups = groups
+	p.Groups = s.groups
 	st.CostAfter = total
 	if err := p.Validate(t.Len(), k, 0); err != nil {
 		return nil, fmt.Errorf("refine: internal: %w", err)
@@ -278,4 +379,15 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		return nil, fmt.Errorf("refine: internal: incremental cost %d != recomputed %d", total, got)
 	}
 	return st, nil
+}
+
+// withoutRow returns a fresh copy of g without row i, order kept.
+func withoutRow(g []int, i int) []int {
+	out := make([]int, 0, len(g))
+	for _, x := range g {
+		if x != i {
+			out = append(out, x)
+		}
+	}
+	return out
 }

@@ -191,6 +191,9 @@ func validateInstance(req JobRequest, rows int) error {
 	if req.Algorithm != kanon.AlgoHierarchy && (req.HierarchySpec != nil || req.MaxSuppress != 0) {
 		return fmt.Errorf("hierarchy and suppress parameters require algo=hierarchy, got %s", req.Algorithm)
 	}
+	if req.Algorithm == kanon.AlgoHierarchy && req.Refine {
+		return fmt.Errorf("refine needs a partition, and algo=hierarchy releases a generalization")
+	}
 	if req.Algorithm == kanon.AlgoExact && rows > exact.MaxDPRows {
 		return fmt.Errorf("exact solver is limited to %d rows (got %d); use a greedy algorithm",
 			exact.MaxDPRows, rows)

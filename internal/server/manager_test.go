@@ -96,6 +96,9 @@ func TestValidateInstance(t *testing.T) {
 	if err := validateInstance(JobRequest{K: 2, Algorithm: kanon.AlgoExact, BlockRows: 8}, 16); err == nil {
 		t.Error("accepted block streaming with a non-ball algorithm")
 	}
+	if err := validateInstance(JobRequest{K: 2, Algorithm: kanon.AlgoHierarchy, Refine: true}, 16); err == nil {
+		t.Error("accepted refine with algo=hierarchy")
+	}
 	if err := validateInstance(JobRequest{K: 2, Algorithm: kanon.AlgoGreedyBall, BlockRows: 8}, 16); err != nil {
 		t.Errorf("rejected valid block request: %v", err)
 	}

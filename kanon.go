@@ -230,7 +230,8 @@ type Options struct {
 	// (relocate/swap/dissolve moves). Never increases cost and never
 	// breaks k-anonymity; any approximation guarantee of the base
 	// algorithm survives. Ignored by AlgoExact, whose output cannot
-	// improve.
+	// improve, and by AlgoHierarchy, whose generalized release has no
+	// partition to refine.
 	Refine bool
 	// RefineOpts tunes the Refine local search (rounds cap, move set);
 	// nil runs the defaults. The call's context is threaded into the
