@@ -14,6 +14,7 @@ import (
 	"kanon/internal/hierarchy"
 	"kanon/internal/metric"
 	"kanon/internal/refine"
+	"kanon/internal/relation"
 	"kanon/internal/stream"
 )
 
@@ -63,14 +64,34 @@ func BenchmarkStream(b *testing.B) {
 	}
 }
 
+// BenchmarkLatticeSearch times hierarchy.Solve on three lattice
+// shapes: the paper's all-suppress hierarchy (a 2^m lattice), a derived
+// census spec with a 10-row budget, which scores every non-failing
+// node with a full walk, and a planted table whose lattice is too large
+// to enumerate, so the beam answers it. The last two are the bench
+// gate's hier_census and hier_planted shapes.
 func BenchmarkLatticeSearch(b *testing.B) {
-	tab := dataset.Census(rand.New(rand.NewSource(3)), 200, 6)
-	opt := &hierarchy.Options{Spec: hierarchy.SuppressionSpec(tab), MaxSuppress: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hierarchy.Solve(tab, 3, opt); err != nil {
-			b.Fatal(err)
-		}
+	census := dataset.Census(rand.New(rand.NewSource(3)), 2000, 6)
+	planted := dataset.Planted(rand.New(rand.NewSource(3)), 1500, 8, 6, 3, 1)
+	suppress := dataset.Census(rand.New(rand.NewSource(3)), 200, 6)
+	for _, c := range []struct {
+		name string
+		tab  *relation.Table
+		k    int
+		opt  *hierarchy.Options
+	}{
+		{"suppress/n=200", suppress, 3, &hierarchy.Options{Spec: hierarchy.SuppressionSpec(suppress), MaxSuppress: 2}},
+		{"census/n=2000", census, 4, &hierarchy.Options{MaxSuppress: 10, Workers: 1}},
+		{"planted/n=1500", planted, 3, &hierarchy.Options{Workers: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hierarchy.Solve(c.tab, c.k, c.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"slices"
 	"sort"
 
 	"kanon/internal/relation"
@@ -103,21 +104,71 @@ func (ct *CountTree) Nodes() int { return ct.nodes }
 // penalty, suppressed rows pay 1 per cell. By default the walk aborts
 // as soon as suppressed exceeds maxSup (ok=false, ncp meaningless);
 // full=true always completes it, which scoring callers use to rank
-// failing nodes by their true suppression count.
+// failing nodes by their true suppression count. Check builds a
+// walker for one call; the search keeps one per worker instead.
 func (ct *CountTree) Check(levels []int, k, maxSup int, full bool) (ok bool, suppressed int, ncp float64) {
+	return ct.newWalker().check(levels, k, maxSup, full)
+}
+
+// walker is reusable count-tree walk state. Every buffer is sized
+// once from the tree, so after construction a check allocates nothing.
+// A walker is not safe for concurrent use: the search gives each
+// worker its own.
+type walker struct {
+	ct *CountTree
+	// Per depth d: sib[d] holds a gathered sibling set (sib[0] is the
+	// whole first layer, 0..len-1); grouped[d] holds the set's nodes
+	// regrouped by generalized code; distinct[d] lists the codes the
+	// set touches; slots[d], indexed by generalized code and sized to
+	// the column's largest level, counts and then locates each code's
+	// group. Slots are all zero between merges.
+	sib, grouped, distinct, slots [][]int32
+
+	levels     []int
+	k, limit   int
+	suppressed int
+	keptNCP    float64
+	aborted    bool
+}
+
+// newWalker sizes a walker's buffers: a sibling set at depth d holds
+// at most the whole depth-d layer.
+func (ct *CountTree) newWalker() *walker {
+	m := len(ct.codes)
+	w := &walker{
+		ct:       ct,
+		sib:      make([][]int32, m),
+		grouped:  make([][]int32, m),
+		distinct: make([][]int32, m),
+		slots:    make([][]int32, m),
+	}
+	for d := 0; d < m; d++ {
+		layer := len(ct.codes[d])
+		w.sib[d] = make([]int32, 0, layer)
+		w.grouped[d] = make([]int32, layer)
+		w.slots[d] = make([]int32, slices.Max(ct.cols[d].Sizes()))
+		w.distinct[d] = make([]int32, 0, len(w.slots[d]))
+	}
+	if m > 0 {
+		for i := range len(ct.codes[0]) {
+			w.sib[0] = append(w.sib[0], int32(i))
+		}
+	}
+	return w
+}
+
+// check is Check on reused buffers.
+func (w *walker) check(levels []int, k, maxSup int, full bool) (ok bool, suppressed int, ncp float64) {
+	ct := w.ct
 	if ct.n == 0 || len(ct.codes) == 0 {
 		return true, 0, 0
 	}
-	w := walkState{ct: ct, levels: levels, k: k, limit: maxSup}
+	w.levels, w.k, w.limit = levels, k, maxSup
 	if full {
 		w.limit = ct.n
 	}
-	// The depth-0 sibling set is the whole first layer.
-	all := make([]int32, len(ct.codes[0]))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	w.walk(all, 0, 0)
+	w.suppressed, w.keptNCP, w.aborted = 0, 0, false
+	w.walk(w.sib[0], 0, 0)
 	if w.aborted {
 		return false, w.suppressed, 0
 	}
@@ -126,81 +177,94 @@ func (ct *CountTree) Check(levels []int, k, maxSup int, full bool) (ok bool, sup
 	return w.suppressed <= maxSup, w.suppressed, ncp
 }
 
-// walkState accumulates one Check traversal.
-type walkState struct {
-	ct         *CountTree
-	levels     []int
-	k, limit   int
-	suppressed int
-	keptNCP    float64
-	aborted    bool
-	// scratch buffers reused across recursion levels to keep the walk
-	// allocation-light.
-	pairs [][]pair
-}
-
-// pair tags a trie node index with its generalized code for sorting.
-type pair struct {
-	gen  int32
-	node int32
-}
-
-// walk merges the sibling set `nodes` (trie indices at `depth`) by
-// generalized code, in deterministic ascending-code order, and
-// recurses into the concatenated child ranges of each merged group.
-func (w *walkState) walk(nodes []int32, depth int, pathNCP float64) {
-	if w.aborted {
-		return
-	}
-	col := w.ct.cols[depth]
-	level := w.levels[depth]
-	for len(w.pairs) <= depth {
-		w.pairs = append(w.pairs, nil)
-	}
-	ps := w.pairs[depth][:0]
+// walk merges the sibling set `nodes` (trie indices at `depth`, in
+// ascending order) by generalized code, then recurses into the
+// concatenated child ranges of each merged group or, at the deepest
+// layer, settles the group's rows. Groups are visited in ascending
+// code, so float sums — and NCP — accumulate in one fixed order.
+//
+// The merge is a stable counting pass over only the codes the set
+// touches: count each code, sort the few distinct codes, turn counts
+// into start offsets, then scatter the nodes forward into their
+// groups, which keeps each group ascending. After the scatter
+// slots[g] is group g's end offset; the slots are cleared on every
+// return, an aborted walk's included.
+func (w *walker) walk(nodes []int32, depth int, pathNCP float64) {
+	ct := w.ct
+	col, level := ct.cols[depth], w.levels[depth]
+	codes, slots := ct.codes[depth], w.slots[depth]
+	distinct := w.distinct[depth][:0]
 	for _, nd := range nodes {
-		ps = append(ps, pair{gen: col.Code(level, w.ct.codes[depth][nd]), node: nd})
+		g := col.Code(level, codes[nd])
+		if slots[g] == 0 {
+			distinct = append(distinct, g)
+		}
+		slots[g]++
 	}
-	// Trie nodes are in base-code order; a stable sort by generalized
-	// code keeps the merge deterministic.
-	sort.SliceStable(ps, func(a, b int) bool { return ps[a].gen < ps[b].gen })
-	w.pairs[depth] = ps
-	last := len(w.ct.cols) - 1
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].gen == ps[i].gen {
-			j++
-		}
-		cell := col.NCP(level, ps[i].gen)
-		if depth == last {
-			size := 0
-			for _, p := range ps[i:j] {
-				size += int(w.ct.counts[p.node])
-			}
-			if size < w.k {
-				w.suppressed += size
-				if w.limit >= 0 && w.suppressed > w.limit {
-					w.aborted = true
-					return
-				}
-			} else {
-				w.keptNCP += float64(size) * (pathNCP + cell)
-			}
+	slices.Sort(distinct)
+	off := int32(0)
+	for _, g := range distinct {
+		off, slots[g] = off+slots[g], off
+	}
+	grouped := w.grouped[depth]
+	for _, nd := range nodes {
+		g := col.Code(level, codes[nd])
+		grouped[slots[g]] = nd
+		slots[g]++
+	}
+	defer clearSlots(slots, distinct)
+
+	last := depth == len(ct.cols)-1
+	start := int32(0)
+	for _, g := range distinct {
+		group := grouped[start:slots[g]]
+		start = slots[g]
+		ncp := pathNCP + col.NCP(level, g)
+		if last {
+			w.settle(group, ncp)
 		} else {
-			// Gather the merged group's children. The slice must be
-			// fresh per group because recursion reuses w.pairs[depth+1].
-			var children []int32
-			for _, p := range ps[i:j] {
-				lo, hi := w.ct.span[depth][p.node], w.ct.span[depth][p.node+1]
-				for c := lo; c < hi; c++ {
-					children = append(children, c)
-				}
-			}
-			w.walk(children, depth+1, pathNCP+cell)
-			if w.aborted {
-				return
-			}
+			w.walk(w.children(group, depth), depth+1, ncp)
 		}
-		i = j
+		if w.aborted {
+			return
+		}
+	}
+}
+
+// children concatenates a merged group's child ranges. The group is
+// ascending and spans are monotone, so the result is ascending too.
+func (w *walker) children(group []int32, depth int) []int32 {
+	span := w.ct.span[depth]
+	out := w.sib[depth+1][:0]
+	for _, nd := range group {
+		for c := span[nd]; c < span[nd+1]; c++ {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// settle closes a deepest-layer group: its size is the sum of its
+// leaves' row multiplicities. An undersized group is suppressed; each
+// row of a kept one pays rowNCP, its cells' summed penalty.
+func (w *walker) settle(group []int32, rowNCP float64) {
+	size := 0
+	for _, nd := range group {
+		size += int(w.ct.counts[nd])
+	}
+	if size < w.k {
+		w.suppressed += size
+		if w.limit >= 0 && w.suppressed > w.limit {
+			w.aborted = true
+		}
+	} else {
+		w.keptNCP += float64(size) * rowNCP
+	}
+}
+
+// clearSlots zeroes the slots a merge touched.
+func clearSlots(slots, touched []int32) {
+	for _, g := range touched {
+		slots[g] = 0
 	}
 }

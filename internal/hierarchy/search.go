@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,12 +145,18 @@ type engine struct {
 	walkNS  *obs.Histogram
 
 	dims []int // levels per column (height+1)
+	// walkers[i] belongs to worker i alone. walkAll grows the slice to
+	// the workers a batch uses, so it never exceeds the largest batch.
+	walkers []*walker
 
 	// exhaustive-engine state, indexed by mixed-radix rank.
 	status   []uint8
 	walkedAt []bool
 	ncp      []float64
 	supp     []int32
+	// The tagging passes' reusable DFS stack and level vector.
+	tagStack  []int
+	tagLevels []int
 
 	walked, tagsAnon, tagsFail, tagHits int
 }
@@ -182,67 +189,66 @@ type walkRes struct {
 	ncp        float64
 }
 
-// walkOne checks a single lattice node, recording telemetry.
-func (e *engine) walkOne(levels []int, full bool) walkRes {
-	t0 := time.Now()
-	ok, sup, ncp := e.ct.Check(levels, e.k, e.maxSup, full)
-	e.walkNS.ObserveDuration(time.Since(t0))
-	return walkRes{ok: ok, suppressed: sup, ncp: ncp}
-}
-
-// walkMany checks many nodes, in parallel when workers allow. Results
-// are positionally aligned with ranks, so callers apply them in a
+// walkAll checks the lattice nodes levelsAt(0..n-1), in parallel when
+// workers allow. levelsAt may fill the scratch vector it is given.
+// Each worker walks with its own walker, kept for the whole search.
+// Results are positionally aligned, so callers apply them in a
 // deterministic order regardless of scheduling.
-func (e *engine) walkMany(ranks []int, full bool) ([]walkRes, error) {
+func (e *engine) walkAll(n int, full bool, levelsAt func(i int, scratch []int) []int) ([]walkRes, error) {
 	if err := e.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
 	}
-	res := make([]walkRes, len(ranks))
-	e.walked += len(ranks)
-	if e.workers <= 1 || len(ranks) < 2 {
-		levels := make([]int, len(e.dims))
-		for i, r := range ranks {
-			if i%64 == 63 {
-				if err := e.ctx.Err(); err != nil {
-					return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
-				}
+	res := make([]walkRes, n)
+	e.walked += n
+	workers := min(e.workers, n)
+	for len(e.walkers) < workers {
+		e.walkers = append(e.walkers, e.ct.newWalker())
+	}
+	var next atomic.Int64
+	work := func(id int) {
+		w, scratch := e.walkers[id], make([]int, len(e.dims))
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || e.ctx.Err() != nil {
+				return
 			}
-			res[i] = e.walkOne(e.levelsOf(r, levels), full)
+			t0 := time.Now()
+			ok, sup, ncp := w.check(levelsAt(i, scratch), e.k, e.maxSup, full)
+			e.walkNS.ObserveDuration(time.Since(t0))
+			res[i] = walkRes{ok: ok, suppressed: sup, ncp: ncp}
 		}
-		return res, nil
 	}
-	var next int64
-	var wg sync.WaitGroup
-	workers := e.workers
-	if workers > len(ranks) {
-		workers = len(ranks)
+	switch {
+	case workers == 1:
+		work(0)
+	case workers > 1:
+		var wg sync.WaitGroup
+		for id := 0; id < workers; id++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(id)
+			}()
+		}
+		wg.Wait()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			levels := make([]int, len(e.dims))
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(ranks) || e.ctx.Err() != nil {
-					return
-				}
-				res[i] = e.walkOne(e.levelsOf(ranks[i], levels), full)
-			}
-		}()
-	}
-	wg.Wait()
 	if err := e.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
 	}
 	return res, nil
 }
 
+// walkRanks checks exhaustive-engine nodes by rank with pruned walks.
+func (e *engine) walkRanks(ranks []int) ([]walkRes, error) {
+	return e.walkAll(len(ranks), false, func(i int, scratch []int) []int {
+		return e.levelsOf(ranks[i], scratch)
+	})
+}
+
 // tagAnonAncestors marks every strict ancestor of rank anonymous,
 // stopping a branch at nodes already known.
 func (e *engine) tagAnonAncestors(rank int) {
-	stack := []int{rank}
-	levels := make([]int, len(e.dims))
+	stack, levels := append(e.tagStack[:0], rank), e.tagLevels
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -260,12 +266,12 @@ func (e *engine) tagAnonAncestors(rank int) {
 			stride *= e.dims[j]
 		}
 	}
+	e.tagStack = stack
 }
 
 // tagFailDescendants marks every strict descendant of rank failing.
 func (e *engine) tagFailDescendants(rank int) {
-	stack := []int{rank}
-	levels := make([]int, len(e.dims))
+	stack, levels := append(e.tagStack[:0], rank), e.tagLevels
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -283,6 +289,7 @@ func (e *engine) tagFailDescendants(rank int) {
 			stride *= e.dims[j]
 		}
 	}
+	e.tagStack = stack
 }
 
 // applyWalk records one walked node's result and propagates tags.
@@ -322,6 +329,7 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 	e.walkedAt = make([]bool, total)
 	e.ncp = make([]float64, total)
 	e.supp = make([]int32, total)
+	e.tagLevels = make([]int, m)
 	hmax := 0
 	for _, d := range e.dims {
 		hmax += d - 1
@@ -341,7 +349,7 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 	// The root must be anonymous for any cut to exist (anonymity is
 	// monotone up the lattice); bail out early when it isn't.
 	top := total - 1
-	rs, err := e.walkMany([]int{top}, false)
+	rs, err := e.walkRanks([]int{top})
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +382,7 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 			}
 		}
 		if !anyAnon {
-			rs, err := e.walkMany(unknown, false)
+			rs, err := e.walkRanks(unknown)
 			if err != nil {
 				sp.End()
 				return nil, err
@@ -405,10 +413,11 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 	var bestLevels []int
 	var bestNCP float64
 	var bestSup int
+	scratch := make([]int, m)
 	consider := func(r int, res walkRes) {
-		lv := e.levelsOf(r, nil)
+		lv := e.levelsOf(r, scratch)
 		if better(res.ncp, lv, bestNCP, bestLevels) {
-			bestLevels, bestNCP, bestSup = lv, res.ncp, res.suppressed
+			bestLevels, bestNCP, bestSup = slices.Clone(lv), res.ncp, res.suppressed
 		}
 	}
 	for h := lo; h <= hmax; h++ {
@@ -433,7 +442,7 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 				walk = append(walk, r)
 			}
 		}
-		rs, err := e.walkMany(walk, false)
+		rs, err := e.walkRanks(walk)
 		if err != nil {
 			return nil, err
 		}
@@ -483,41 +492,7 @@ func (e *engine) beam(width int) (*SearchResult, error) {
 	// walkLevels scores a batch by levels directly — the exhaustive
 	// rank encoding could overflow on the huge lattices the beam serves.
 	walkLevels := func(batch [][]int) ([]walkRes, error) {
-		res := make([]walkRes, len(batch))
-		if err := e.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
-		}
-		e.walked += len(batch)
-		if e.workers <= 1 || len(batch) < 2 {
-			for i, lv := range batch {
-				res[i] = e.walkOne(lv, true)
-			}
-			return res, nil
-		}
-		var next int64
-		var wg sync.WaitGroup
-		workers := e.workers
-		if workers > len(batch) {
-			workers = len(batch)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(batch) || e.ctx.Err() != nil {
-						return
-					}
-					res[i] = e.walkOne(batch[i], true)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := e.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
-		}
-		return res, nil
+		return e.walkAll(len(batch), true, func(i int, _ []int) []int { return batch[i] })
 	}
 
 	bottom := make([]int, m)

@@ -70,7 +70,9 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 }
 
 // TestSearchDeterministicAcrossWorkers: worker count must never change
-// the chosen cut, for both engines.
+// the chosen cut or the search telemetry (walks, tags, tag hits), for
+// both engines. With several workers each one walks with its own
+// reused walker, so under -race this is the walkers' concurrency test.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := randomTable(t, rng, 80, 4, 5, 0.05)
@@ -81,7 +83,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	ct := BuildCountTree(tab, cols)
 	for _, maxNodes := range []int{0 /* exhaustive */, 4 /* forces beam */} {
 		var base *SearchResult
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			got, err := Search(ct, 3, 2, &SearchOptions{Workers: workers, MaxNodes: maxNodes})
 			if err != nil {
 				t.Fatal(err)
@@ -94,6 +96,36 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("maxNodes=%d: workers changed the cut: %v ncp=%g vs %v ncp=%g",
 					maxNodes, got.Levels, got.NCP, base.Levels, base.NCP)
 			}
+			if !reflect.DeepEqual(got, base) {
+				t.Fatalf("maxNodes=%d workers=%d: result %+v, one worker %+v", maxNodes, workers, got, base)
+			}
+		}
+	}
+}
+
+// TestSearchHugeWorkerCount: the worker count comes from callers
+// unchecked (a CLI flag, a service query), so nothing may be sized by
+// it up front. A batch uses at most one worker, and one walker, per
+// node, and the result matches the one-worker search.
+func TestSearchHugeWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tab := randomTable(t, rng, 60, 3, 4, 0)
+	cols, err := Compile(Derive(tab), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := BuildCountTree(tab, cols)
+	for _, maxNodes := range []int{0 /* exhaustive */, 4 /* forces beam */} {
+		want, err := Search(ct, 3, 2, &SearchOptions{Workers: 1, MaxNodes: maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Search(ct, 3, 2, &SearchOptions{Workers: math.MaxInt, MaxNodes: maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("maxNodes=%d: result %+v, one worker %+v", maxNodes, got, want)
 		}
 	}
 }
