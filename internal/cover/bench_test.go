@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"kanon/internal/core"
 	"kanon/internal/dataset"
 	"kanon/internal/metric"
 )
@@ -45,23 +46,40 @@ func BenchmarkBallsParallel(b *testing.B) {
 }
 
 // BenchmarkGreedyBallsParallel measures the full Theorem 4.2 cover
-// (neighbor-order build + greedy selection) at 1 worker vs all CPUs.
+// (histogram build + greedy selection) at 1 worker vs all CPUs, on the
+// dense matrix and on the matrix-free kernel over the same census
+// table, and on a weighted metric of a 12-column census table whose
+// power-of-two weights give centers hundreds of distinct distances,
+// all below the counting-sort cutoff.
 func BenchmarkGreedyBallsParallel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsCtx(context.Background(), mat, 3, 1, nil); err != nil {
-				b.Fatal(err)
-			}
+	bit := metric.NewBitKernel(dataset.Census(rand.New(rand.NewSource(20040614)), 2000, 8))
+	pow := make(core.Weights, 12)
+	for j := range pow {
+		pow[j] = 1 << j
+	}
+	weighted, err := core.WeightedMatrixCtx(context.Background(), dataset.Census(rand.New(rand.NewSource(20040614)), 2000, 12), pow, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		kern metric.Kernel
+	}{{"", mat}, {"bitset/", bit}, {"weighted/", weighted}} {
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"seq", 1}, {"par", runtime.NumCPU()}} {
+			b.Run(bc.name+w.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := GreedyBallsCtx(context.Background(), bc.kern, 3, w.workers, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := GreedyBallsCtx(context.Background(), mat, 3, runtime.NumCPU(), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkBallsKernel isolates the per-center radius kernel: the

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,23 +45,8 @@ func putScratch(s *ballScratch) { scratchPool.Put(s) }
 // order.
 func neighborOrder(mat metric.Kernel, c int, s *ballScratch) {
 	n := mat.Len()
-	maxd := 0
-	if rf, ok := mat.(metric.RowFiller); ok {
-		rf.DistRow(c, s.dist)
-		for _, d := range s.dist {
-			if int(d) > maxd {
-				maxd = int(d)
-			}
-		}
-	} else {
-		for v := 0; v < n; v++ {
-			d := mat.Dist(c, v)
-			s.dist[v] = int32(d)
-			if d > maxd {
-				maxd = d
-			}
-		}
-	}
+	fillRow(mat, c, s.dist)
+	maxd := int(slices.Max(s.dist))
 	if maxd > countingSortCutoff(n) {
 		for v := range s.ord {
 			s.ord[v] = int32(v)
