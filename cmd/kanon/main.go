@@ -94,9 +94,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if alg != kanon.AlgoHierarchy && (*hierPath != "" || *suppress != 0) {
 		return fmt.Errorf("-hierarchy and -suppress require -algo hierarchy (got -algo %s)", alg)
 	}
-	if alg == kanon.AlgoHierarchy && *block > 0 {
-		return fmt.Errorf("-algo hierarchy searches the whole lattice and cannot stream; drop -block")
-	}
 	if alg == kanon.AlgoHierarchy && *refine {
 		return fmt.Errorf("-algo hierarchy releases a generalization, not a partition, so there is nothing to refine; drop -refine")
 	}
@@ -179,7 +176,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		// The block path threads the span straight into the stream
 		// pipeline, so its per-block spans land under "anonymize".
 		res, _, err = kanon.AnonymizeBlocks(ctx, header, rows, *k, *block, &kanon.Options{
-			Kernel: kern, Refine: *refine, Workers: *workers, Span: as, Log: logger,
+			Algorithm: alg, Kernel: kern, Refine: *refine, ColumnWeights: weights,
+			Workers: *workers, Span: as, Log: logger,
 		}, nil)
 	} else {
 		// The facade attaches its phase tree under this span directly,

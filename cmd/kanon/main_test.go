@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,6 +187,32 @@ func TestBlockStreaming(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "k-groups:") {
 		t.Errorf("stats missing under streaming:\n%s", stderr)
+	}
+}
+
+// TestBlockHonorsAlgoAndWeights: -block passes -algo and -weights to
+// the block path, which runs the ball greedy only, so -algo ball
+// releases what the default does and anything it cannot honor fails.
+func TestBlockHonorsAlgoAndWeights(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("a,b,c,d,e\n")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d\n", i%5, i%3, i%7, i%2, i%4)
+	}
+	in := b.String()
+	want, _, err := runCLI(t, []string{"-k", "3", "-block", "30"}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := runCLI(t, []string{"-k", "3", "-block", "30", "-algo", "ball"}, in)
+	if err != nil || got != want {
+		t.Fatalf("-algo ball -block: %v, output differs from the default: %v", err, got != want)
+	}
+	for _, extra := range [][]string{{"-algo", "exhaustive"}, {"-algo", "sorted"}, {"-weights", "9,1,1,1,1"}} {
+		args := append([]string{"-k", "3", "-block", "30"}, extra...)
+		if _, _, err := runCLI(t, args, in); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

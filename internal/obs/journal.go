@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 )
 
 // This file is the durable side of the event vocabulary: where Events
-// narrates a run to a log stream, Journal spools a job's lifecycle to an
-// append-only events.jsonl next to the job's other artifacts, so the
-// history survives the process — and, in cluster mode, names every node
-// that touched the job. The sink is injected (the store owns the disk
-// discipline); this package owns the record format, the closed event
-// vocabulary, and the strict decoder.
+// narrates a run to a log stream, a job's journal spools its lifecycle
+// to an append-only events.jsonl next to the job's other artifacts, so
+// the history survives the process — and, in cluster mode, names every
+// node that touched the job. The store owns the disk discipline and the
+// server decides what to record; this package owns the record format,
+// the closed event vocabulary, and the strict decoder.
 
 // JournalVersion is the format tag every journal line carries. The
 // decoder rejects other versions instead of guessing, mirroring the job
@@ -23,8 +22,8 @@ const JournalVersion = "kanon-events/1"
 
 // The closed journal event vocabulary: one constant per lifecycle edge.
 // Phase events reuse the Events log vocabulary (phase_start/phase_done);
-// lease events mirror the cluster slog events; terminal events share
-// their textual form with the job states.
+// terminal events share their textual form with the job states. The
+// server logs each event under the same name.
 const (
 	EvSubmitted           = "submitted"
 	EvClaimed             = "claimed"
@@ -173,51 +172,4 @@ func DecodeJournal(b []byte) ([]JournalEvent, error) {
 		events = append(events, e)
 	}
 	return events, nil
-}
-
-// Journal spools lifecycle events for one job through an injected sink
-// (the store's locked, atomic append). It is the durable sibling of
-// Events and follows the same contract: a nil *Journal is disabled and
-// Record on it is a no-op, so callers never branch on "is journaling
-// on". Record stamps the timestamp and the owning node; sink errors go
-// to onErr (journaling is observability — it degrades loudly, it never
-// fails the job).
-type Journal struct {
-	node  string
-	sink  func(line []byte) error
-	onErr func(error)
-	mu    sync.Mutex
-}
-
-// NewJournal builds a journal writing through sink, stamping node on
-// every event that does not carry one. A nil sink yields a nil
-// (disabled) journal. onErr, if non-nil, receives append failures.
-func NewJournal(node string, sink func(line []byte) error, onErr func(error)) *Journal {
-	if sink == nil {
-		return nil
-	}
-	return &Journal{node: node, sink: sink, onErr: onErr}
-}
-
-// Record appends one event. Safe for concurrent use; events from one
-// journal land in Record order.
-func (j *Journal) Record(e JournalEvent) {
-	if j == nil {
-		return
-	}
-	if e.Node == "" {
-		e.Node = j.node
-	}
-	if e.TS.IsZero() {
-		e.TS = time.Now()
-	}
-	line, err := EncodeJournalEvent(e)
-	if err == nil {
-		j.mu.Lock()
-		err = j.sink(line)
-		j.mu.Unlock()
-	}
-	if err != nil && j.onErr != nil {
-		j.onErr(err)
-	}
 }

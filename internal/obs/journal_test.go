@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -138,47 +137,6 @@ func TestJournalEventValidation(t *testing.T) {
 	}
 	if _, err := DecodeJournal(append([]byte(line), pad...)); err == nil {
 		t.Error("decoder accepted a wrong-version interior line")
-	}
-}
-
-func TestJournalRecordStampsNodeAndTime(t *testing.T) {
-	var lines [][]byte
-	j := NewJournal("node-a", func(line []byte) error {
-		lines = append(lines, append([]byte{}, line...))
-		return nil
-	}, nil)
-	j.Record(JournalEvent{Event: EvClaimed, Fence: 3})
-	j.Record(JournalEvent{Event: EvLeaseStolen, Node: "node-b"})
-	events, err := DecodeJournal(bytes.Join(lines, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
-	}
-	if events[0].Node != "node-a" || events[0].TS.IsZero() || events[0].Fence != 3 {
-		t.Errorf("stamped event wrong: %+v", events[0])
-	}
-	if events[1].Node != "node-b" {
-		t.Errorf("explicit node overridden: %+v", events[1])
-	}
-}
-
-func TestJournalNilSafe(t *testing.T) {
-	var j *Journal
-	j.Record(JournalEvent{Event: EvClaimed}) // must not panic
-	if NewJournal("n", nil, nil) != nil {
-		t.Fatal("NewJournal with nil sink should be nil (disabled)")
-	}
-}
-
-func TestJournalSinkErrorGoesToOnErr(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	var got error
-	j := NewJournal("n", func([]byte) error { return sinkErr }, func(err error) { got = err })
-	j.Record(JournalEvent{Event: EvClaimed})
-	if !errors.Is(got, sinkErr) {
-		t.Fatalf("onErr got %v, want %v", got, sinkErr)
 	}
 }
 

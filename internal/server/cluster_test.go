@@ -16,6 +16,7 @@ import (
 
 	"kanon"
 	"kanon/internal/dataset"
+	"kanon/internal/obs"
 	"kanon/internal/store"
 )
 
@@ -229,7 +230,7 @@ func TestClusterCancelBeforeClaimHonored(t *testing.T) {
 	if _, _, err := probe.ClaimJob("doomed-r", "dead-node", time.Second, time.Now().Add(-time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := probe.RequestCancel("doomed-r", "user asked", time.Now()); err != nil {
+	if _, _, err := probe.RequestCancel("doomed-r", "user asked", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,6 +387,22 @@ func TestClusterUnrunnableJobFailsDurably(t *testing.T) {
 	got := waitManifestState(t, probe, "hollow", store.StateFailed)
 	if got.Error == "" {
 		t.Error("failed manifest carries no error text")
+	}
+	// The failure is journaled as the job's last event, right after the
+	// manifest commit.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		events, _ := m.EventsOf("hollow")
+		if n := len(events); n > 0 && events[n-1].Event == obs.EvFailed {
+			if events[n-1].Fence != got.Fence || events[n-1].Detail != got.Error {
+				t.Errorf("failed event %+v, want fence %d and detail %q", events[n-1], got.Fence, got.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal of the unrunnable job = %+v, want it to end with failed", events)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if n := m.Snapshot().Counters["server.jobs_failed"]; n != 1 {
 		t.Errorf("jobs_failed = %d, want 1", n)

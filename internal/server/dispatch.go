@@ -79,11 +79,8 @@ func (m *Manager) releaseOwnLeases() {
 		if _, err := m.st.ReleaseJob(man.ID, m.node, man.Fence); err != nil {
 			continue // stolen meanwhile, or a store hiccup: the lease expires as usual
 		}
-		m.leasesReleased.Inc()
-		m.journal(man.ID).Record(obs.JournalEvent{Event: obs.EvLeaseReleased, Fence: man.Fence,
+		m.record(man.ID, obs.JournalEvent{Event: obs.EvLeaseReleased, Fence: man.Fence,
 			Detail: "restart: released by an earlier run of this node"})
-		m.logBare(slog.LevelInfo, "lease_released",
-			slog.String("run_id", man.ID), slog.Uint64("fence", man.Fence))
 	}
 }
 
@@ -98,7 +95,7 @@ func (m *Manager) claimAvailable() (drained bool) {
 	manifests, _, err := m.st.Jobs()
 	m.admit.Unlock()
 	if err != nil {
-		m.logBare(slog.LevelWarn, "claim_scan_failed", slog.String("error", err.Error()))
+		m.log("", slog.LevelWarn, "claim_scan_failed", slog.String("error", err.Error()))
 		return false
 	}
 	now := time.Now()
@@ -206,15 +203,14 @@ func (m *Manager) claimOne(man *store.Manifest, now time.Time) bool {
 	}
 	if stolen {
 		// Journal the failover edge: whose lease lapsed, who took over.
-		// The pre-claim manifest names the old owner; Record stamps the
+		// The pre-claim manifest names the old owner; record stamps the
 		// stolen event with this node.
 		oldNode := man.Node
 		if man.Claim != nil {
 			oldNode = man.Claim.Node
 		}
-		jr := m.journal(man.ID)
-		jr.Record(obs.JournalEvent{Event: obs.EvLeaseExpired, Node: oldNode, Fence: man.Fence})
-		jr.Record(obs.JournalEvent{Event: obs.EvLeaseStolen, Fence: claimed.Fence,
+		m.record(man.ID, obs.JournalEvent{Event: obs.EvLeaseExpired, Node: oldNode, Fence: man.Fence})
+		m.record(man.ID, obs.JournalEvent{Event: obs.EvLeaseStolen, Fence: claimed.Fence,
 			Detail: fmt.Sprintf("from %s", oldNode)})
 	}
 	if claimed.CancelRequested {
@@ -233,7 +229,7 @@ func (m *Manager) claimOne(man *store.Manifest, now time.Time) bool {
 	}
 	if man.SubmittedAt.Before(m.started) {
 		m.recovered.Inc()
-		m.log(job, slog.LevelInfo, "job_recovered",
+		m.log(job.ID, slog.LevelInfo, "job_recovered",
 			slog.String("algo", job.Req.Algorithm.String()), slog.Int("k", job.Req.K),
 			slog.Int("rows", len(job.rows)))
 	}
@@ -241,7 +237,7 @@ func (m *Manager) claimOne(man *store.Manifest, now time.Time) bool {
 	m.runningLocal[job.ID] = true
 	m.mu.Unlock()
 	m.runWG.Add(1)
-	go m.runClaimed(job, claimed, stolen)
+	go m.runClaimed(job, claimed)
 	return true
 }
 
@@ -290,35 +286,32 @@ func (m *Manager) finalizeClaimedCancel(id string, fence uint64, now time.Time) 
 		return nil
 	})
 	if err != nil {
-		m.logBare(slog.LevelWarn, "job_persist_failed",
-			slog.String("run_id", id), slog.String("error", err.Error()))
+		m.log(id, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
 		return
 	}
-	m.journal(id).Record(obs.JournalEvent{Event: obs.EvCanceled, Fence: fence,
+	m.record(id, obs.JournalEvent{Event: obs.EvCanceled, Fence: fence,
 		Detail: "cancel requested before the job ran"})
-	m.canceled.Inc()
-	if j, ok := m.Get(id); ok && m.finish(j, StateCanceled, context.Canceled, nil, now) {
-		m.log(j, slog.LevelInfo, "job_canceled", slog.String("while", "queued"))
+	if j, ok := m.Get(id); ok {
+		m.finish(j, StateCanceled, context.Canceled, nil, now)
 	}
 }
 
 // failClaimOnDisk marks a claimed-but-unrunnable job failed so it stops
 // being claimable.
 func (m *Manager) failClaimOnDisk(man *store.Manifest, cause error) {
-	m.failed.Inc()
+	reason := fmt.Sprintf("unrunnable on %s: %v", m.node, cause)
 	_, err := m.st.UpdateClaimed(man.ID, m.node, man.Fence, func(sm *store.Manifest) error {
 		sm.State = store.StateFailed
-		sm.Error = fmt.Sprintf("unrunnable on %s: %v", m.node, cause)
+		sm.Error = reason
 		t := time.Now()
 		sm.FinishedAt = &t
 		return nil
 	})
 	if err != nil {
-		m.logBare(slog.LevelWarn, "job_persist_failed",
-			slog.String("run_id", man.ID), slog.String("error", err.Error()))
+		m.log(man.ID, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
+		return
 	}
-	m.logBare(slog.LevelWarn, "job_failed",
-		slog.String("run_id", man.ID), slog.String("error", cause.Error()))
+	m.record(man.ID, obs.JournalEvent{Event: obs.EvFailed, Fence: man.Fence, Detail: reason})
 }
 
 // runClaimed executes one claimed job end to end under its lease:
@@ -327,7 +320,7 @@ func (m *Manager) failClaimOnDisk(man *store.Manifest, cause error) {
 // the lease and finished" degrades safely: a lost lease discards local
 // state (the thief owns the job now), and a drain deadline on a
 // configured store releases the job back to the queue.
-func (m *Manager) runClaimed(job *Job, man *store.Manifest, stolen bool) {
+func (m *Manager) runClaimed(job *Job, man *store.Manifest) {
 	defer m.runWG.Done()
 	fence := man.Fence
 	timeout := m.cfg.JobTimeout
@@ -349,35 +342,27 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest, stolen bool) {
 
 	m.running.Add(1)
 	m.queueWait.ObserveDuration(wait)
-	m.leasesClaimed.Inc()
-	if stolen {
-		m.leasesStolen.Inc()
-	}
-	m.log(job, slog.LevelInfo, "lease_claimed",
-		slog.Uint64("fence", fence), slog.Bool("stolen", stolen),
-		slog.String("algo", job.Req.Algorithm.String()), slog.Int("k", job.Req.K))
-	m.log(job, slog.LevelInfo, "job_started", slog.Duration("queue_wait", wait))
-	o := m.startJobObs(job)
-	o.journal.Record(obs.JournalEvent{Event: obs.EvClaimed, Fence: fence,
-		Detail: fmt.Sprintf("algo=%s k=%d stolen=%t", job.Req.Algorithm, job.Req.K, stolen)})
-	o.journal.Record(obs.JournalEvent{Event: obs.EvPhaseStart, Phase: "anonymize"})
+	root := m.startJobObs(job)
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvClaimed, Fence: fence,
+		Detail: fmt.Sprintf("algo=%s k=%d queue_wait=%s", job.Req.Algorithm, job.Req.K, wait)})
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseStart, Phase: "anonymize"})
 
 	var lost, userCancel atomic.Bool
 	renewStop := make(chan struct{})
 	renewDone := make(chan struct{})
 	go m.renewLoop(job, fence, cancel, &lost, &userCancel, renewStop, renewDone)
 
-	res, resumed, err := m.execute(ctx, job, o)
+	res, resumed, err := m.execute(ctx, job, root)
 	close(renewStop)
 	<-renewDone
 
-	o.journal.Record(obs.JournalEvent{Event: obs.EvPhaseDone, Phase: "anonymize"})
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseDone, Phase: "anonymize"})
 	// Persist the final timeline only while the lease looks ours: after a
 	// loss the thief owns trace.json, and a late flush would overwrite
 	// its fuller view. (A commit below can still discover a loss after
 	// this flush — the thief's next flush repairs the file; the journal,
 	// being append-only, never has this race.)
-	finalTrace := m.finishJobObs(job, o, !lost.Load())
+	finalTrace := m.finishJobObs(job, root, !lost.Load())
 	if err == nil && job.Req.Trace && finalTrace != nil {
 		res.Stats = finalTrace
 	}
@@ -408,20 +393,19 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest, stolen bool) {
 // execute runs the job's anonymization under ctx: the facade for
 // whole-table jobs, the bounded-memory stream pipeline for block jobs.
 // The second return is how many stream blocks were replayed from the
-// job's checkpoints instead of recomputed. o carries the run's
-// observability: the compute attaches its phase tree under the root
-// span, and checkpoints journal their commits and resumes; the release
-// is byte-identical either way.
-func (m *Manager) execute(ctx context.Context, job *Job, o jobObs) (*kanon.Result, int, error) {
+// job's checkpoints instead of recomputed. The compute attaches its
+// phase tree under the run's root span, and checkpoints journal their
+// commits and resumes; the release is byte-identical either way.
+func (m *Manager) execute(ctx context.Context, job *Job, root *obs.Span) (*kanon.Result, int, error) {
 	req := job.Req
 	if req.BlockRows > 0 {
 		c, err := m.st.Checkpoint(job.ID, job.header)
 		if err != nil {
 			return nil, 0, err
 		}
-		ckpt := &journalCheckpoint{inner: c, m: m, job: job, jr: o.journal}
+		ckpt := &journalCheckpoint{inner: c, m: m, job: job}
 		return kanon.AnonymizeBlocks(ctx, job.header, job.rows, req.K, req.BlockRows, &kanon.Options{
-			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Span: o.root,
+			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Span: root,
 		}, ckpt)
 	}
 	res, err := kanon.AnonymizeContext(ctx, job.header, job.rows, req.K, &kanon.Options{
@@ -433,7 +417,7 @@ func (m *Manager) execute(ctx context.Context, job *Job, o jobObs) (*kanon.Resul
 		Hierarchy:   req.HierarchySpec,
 		MaxSuppress: req.MaxSuppress,
 		Log:         m.cfg.Log,
-		Span:        o.root, // per-job tracer; Stats come from its snapshot
+		Span:        root, // per-job tracer; Stats come from its snapshot
 	})
 	return res, 0, err
 }
@@ -461,20 +445,18 @@ func (m *Manager) renewLoop(job *Job, fence uint64, cancel context.CancelFunc, l
 		man, err := m.st.RenewLease(job.ID, m.node, fence, m.cfg.LeaseTTL, time.Now())
 		if errors.Is(err, store.ErrFenced) {
 			lost.Store(true)
-			m.leaseLost(job, fence)
+			m.record(job.ID, obs.JournalEvent{Event: obs.EvLeaseLost, Fence: fence})
 			cancel()
 			return
 		}
 		if err != nil {
-			m.log(job, slog.LevelWarn, "lease_renew_failed", slog.String("error", err.Error()))
+			m.log(job.ID, slog.LevelWarn, "lease_renew_failed", slog.String("error", err.Error()))
 			continue
 		}
-		m.leasesRenewed.Inc()
-		m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvLeaseRenewed, Fence: fence})
+		m.record(job.ID, obs.JournalEvent{Event: obs.EvLeaseRenewed, Fence: fence})
 		if man.CancelRequested && !userCancel.Load() {
 			userCancel.Store(true)
-			m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvCancelRequested, Fence: fence})
-			m.log(job, slog.LevelInfo, "job_cancel_requested", slog.String("while", "running"))
+			m.record(job.ID, obs.JournalEvent{Event: obs.EvCancelRequested, Fence: fence})
 			cancel()
 			// Keep renewing: holding the lease through the unwind stops a
 			// peer from stealing a job that is about to be cancelled.
@@ -508,20 +490,14 @@ func (m *Manager) commitSuccess(job *Job, fence uint64, res *kanon.Result, resum
 		m.commitFailed(job, fence, err)
 		return
 	}
-	m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvSucceeded, Fence: fence,
-		Detail: fmt.Sprintf("cost=%d", res.Cost)})
 	job.mu.Lock()
 	dur := now.Sub(job.started)
 	job.mu.Unlock()
-	m.succeeded.Inc()
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvSucceeded, Fence: fence,
+		Detail: fmt.Sprintf("cost=%d wall=%s blocks_resumed=%d", res.Cost, dur, resumed)})
 	m.jobDur.ObserveDuration(dur)
 	m.jobCost.Observe(int64(res.Cost))
-	if resumed > 0 {
-		m.blocksResumed.Add(int64(resumed))
-		m.log(job, slog.LevelInfo, "job_blocks_resumed", slog.Int("blocks_resumed", resumed))
-	}
-	m.log(job, slog.LevelInfo, "job_done", slog.Int("cost", res.Cost), slog.Duration("wall", dur),
-		slog.Int("blocks_resumed", resumed))
+	m.blocksResumed.Add(int64(resumed))
 	m.endRun(job, StateSucceeded, nil, res, now)
 }
 
@@ -543,15 +519,8 @@ func (m *Manager) commitTerminal(job *Job, fence uint64, state State, cause erro
 	job.mu.Lock()
 	dur := now.Sub(job.started)
 	job.mu.Unlock()
-	if state == StateCanceled {
-		m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvCanceled, Fence: fence, Detail: cause.Error()})
-		m.canceled.Inc()
-		m.log(job, slog.LevelInfo, "job_canceled", slog.String("while", "running"), slog.Duration("wall", dur))
-	} else {
-		m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvFailed, Fence: fence, Detail: cause.Error()})
-		m.failed.Inc()
-		m.log(job, slog.LevelWarn, "job_failed", slog.String("error", cause.Error()), slog.Duration("wall", dur))
-	}
+	// The terminal events are spelled like the states.
+	m.record(job.ID, obs.JournalEvent{Event: string(state), Fence: fence, Detail: fmt.Sprintf("%v wall=%s", cause, dur)})
 	m.jobDur.ObserveDuration(dur)
 	m.endRun(job, state, cause, nil, now)
 }
@@ -564,9 +533,9 @@ func (m *Manager) commitTerminal(job *Job, fence uint64, state State, cause erro
 // disagree about whether the job finished.
 func (m *Manager) commitFailed(job *Job, fence uint64, err error) {
 	if errors.Is(err, store.ErrFenced) {
-		m.leaseLost(job, fence)
+		m.record(job.ID, obs.JournalEvent{Event: obs.EvLeaseLost, Fence: fence})
 	} else {
-		m.log(job, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
+		m.log(job.ID, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
 	}
 	m.abandon(job)
 }
@@ -578,24 +547,14 @@ func (m *Manager) releaseClaimed(job *Job, fence uint64) {
 	_, err := m.st.ReleaseJob(job.ID, m.node, fence)
 	switch {
 	case errors.Is(err, store.ErrFenced):
-		m.leaseLost(job, fence)
+		m.record(job.ID, obs.JournalEvent{Event: obs.EvLeaseLost, Fence: fence})
 	case err != nil:
-		m.log(job, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
+		m.log(job.ID, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
 	default:
-		m.leasesReleased.Inc()
-		m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvLeaseReleased, Fence: fence,
+		m.record(job.ID, obs.JournalEvent{Event: obs.EvLeaseReleased, Fence: fence,
 			Detail: "drain: released back to the queue"})
-		m.log(job, slog.LevelInfo, "lease_released", slog.Uint64("fence", fence))
 	}
 	m.abandon(job)
-}
-
-// leaseLost records that a fenced store call found the job's lease
-// taken by a newer claim.
-func (m *Manager) leaseLost(job *Job, fence uint64) {
-	m.leasesLost.Inc()
-	m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvLeaseLost, Fence: fence})
-	m.log(job, slog.LevelWarn, "lease_lost", slog.Uint64("fence", fence))
 }
 
 // abandon ends a run whose job this node no longer holds: in memory it
@@ -603,7 +562,7 @@ func (m *Manager) leaseLost(job *Job, fence uint64) {
 // reads through to it), nothing is written to the store, and Done
 // stays open — the job is not finished, it is just no longer ours.
 func (m *Manager) abandon(job *Job) {
-	m.log(job, slog.LevelInfo, "job_abandoned")
+	m.log(job.ID, slog.LevelInfo, "job_abandoned")
 	m.endRun(job, "", nil, nil, time.Time{})
 }
 

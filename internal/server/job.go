@@ -16,8 +16,8 @@ import (
 // State is a job's position in its lifecycle. Transitions are strictly
 // forward: queued → running → one of the three terminal states, or
 // queued → canceled directly when a job is cancelled before a worker
-// claims it. DESIGN.md maps each state to the obs instruments that
-// observe it.
+// claims it. DESIGN.md's lifecycle table maps each edge to its journal
+// event, slog line and counter.
 type State string
 
 const (

@@ -172,13 +172,10 @@ type Manager struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
-	// Hoisted instruments (obs lookup takes the registry lock).
+	// Hoisted instruments (obs lookup takes the registry lock); record
+	// bumps the lifecycle counters from the lifecycle table.
 	qDepth        *obs.Gauge
 	running       *obs.Gauge
-	submitted     *obs.Counter
-	succeeded     *obs.Counter
-	failed        *obs.Counter
-	canceled      *obs.Counter
 	rejected      *obs.Counter
 	expired       *obs.Counter
 	recovered     *obs.Counter
@@ -186,13 +183,6 @@ type Manager struct {
 	queueWait     *obs.Histogram
 	jobDur        *obs.Histogram
 	jobCost       *obs.Histogram
-
-	// Lease instruments.
-	leasesClaimed  *obs.Counter
-	leasesStolen   *obs.Counter
-	leasesRenewed  *obs.Counter
-	leasesLost     *obs.Counter
-	leasesReleased *obs.Counter
 }
 
 // localNode is the lease holder ID of a manager configured without a
@@ -217,40 +207,36 @@ func NewManager(cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	tr := obs.New()
 	m := &Manager{
-		cfg:            cfg,
-		st:             st,
-		node:           node,
-		tr:             tr,
-		started:        time.Now(),
-		baseCtx:        ctx,
-		baseCancel:     cancel,
-		jobs:           make(map[string]*Job),
-		idem:           make(map[string]string),
-		runningLocal:   make(map[string]bool),
-		slots:          make(chan struct{}, cfg.Workers),
-		claimPoke:      make(chan struct{}, 1),
-		claimStop:      make(chan struct{}),
-		claimDone:      make(chan struct{}),
-		janitorStop:    make(chan struct{}),
-		janitorDone:    make(chan struct{}),
-		qDepth:         tr.Gauge("server.queue_depth"),
-		running:        tr.Gauge("server.jobs_running"),
-		submitted:      tr.Counter("server.jobs_submitted"),
-		succeeded:      tr.Counter("server.jobs_succeeded"),
-		failed:         tr.Counter("server.jobs_failed"),
-		canceled:       tr.Counter("server.jobs_canceled"),
-		rejected:       tr.Counter("server.jobs_rejected"),
-		expired:        tr.Counter("server.jobs_expired"),
-		recovered:      tr.Counter("server.jobs_recovered"),
-		blocksResumed:  tr.Counter("server.blocks_resumed"),
-		queueWait:      tr.Histogram("server.queue_wait_ns"),
-		jobDur:         tr.Histogram("server.job_duration_ns"),
-		jobCost:        tr.Histogram("server.job_cost"),
-		leasesClaimed:  tr.Counter("server.leases_claimed"),
-		leasesStolen:   tr.Counter("server.leases_stolen"),
-		leasesRenewed:  tr.Counter("server.leases_renewed"),
-		leasesLost:     tr.Counter("server.leases_lost"),
-		leasesReleased: tr.Counter("server.leases_released"),
+		cfg:           cfg,
+		st:            st,
+		node:          node,
+		tr:            tr,
+		started:       time.Now(),
+		baseCtx:       ctx,
+		baseCancel:    cancel,
+		jobs:          make(map[string]*Job),
+		idem:          make(map[string]string),
+		runningLocal:  make(map[string]bool),
+		slots:         make(chan struct{}, cfg.Workers),
+		claimPoke:     make(chan struct{}, 1),
+		claimStop:     make(chan struct{}),
+		claimDone:     make(chan struct{}),
+		janitorStop:   make(chan struct{}),
+		janitorDone:   make(chan struct{}),
+		qDepth:        tr.Gauge("server.queue_depth"),
+		running:       tr.Gauge("server.jobs_running"),
+		rejected:      tr.Counter("server.jobs_rejected"),
+		expired:       tr.Counter("server.jobs_expired"),
+		recovered:     tr.Counter("server.jobs_recovered"),
+		blocksResumed: tr.Counter("server.blocks_resumed"),
+		queueWait:     tr.Histogram("server.queue_wait_ns"),
+		jobDur:        tr.Histogram("server.job_duration_ns"),
+		jobCost:       tr.Histogram("server.job_cost"),
+	}
+	for _, ed := range lifecycle {
+		if ed.counter != "" {
+			tr.Counter(ed.counter) // registered at zero, so /metrics lists every edge
+		}
 	}
 	tr.Gauge("server.workers").Set(int64(cfg.Workers))
 	for i := 0; i < cfg.Workers; i++ {
@@ -400,18 +386,14 @@ func (m *Manager) admitJob(job *Job) error {
 		return fmt.Errorf("%w (cluster backlog %d)", ErrQueueFull, depth)
 	}
 	if err := m.st.CreateJob(job.manifest(), job.header, job.rows); err != nil {
-		m.log(job, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
+		m.log(job.ID, slog.LevelWarn, "job_persist_failed", slog.String("error", err.Error()))
 		return fmt.Errorf("%w: %v", ErrStore, err)
 	}
-	m.journal(job.ID).Record(obs.JournalEvent{Event: obs.EvSubmitted,
-		Detail: fmt.Sprintf("algo=%s k=%d rows=%d", job.Req.Algorithm, job.Req.K, len(job.rows))})
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvSubmitted, Detail: fmt.Sprintf("algo=%s k=%d rows=%d cols=%d",
+		job.Req.Algorithm, job.Req.K, len(job.rows), len(job.header))})
 	m.mu.Lock()
 	m.jobs[job.ID] = job
 	m.mu.Unlock()
-	m.submitted.Inc()
-	m.log(job, slog.LevelInfo, "job_queued",
-		slog.Int("k", job.Req.K), slog.String("algo", job.Req.Algorithm.String()),
-		slog.Int("rows", len(job.rows)), slog.Int("cols", len(job.header)))
 	return nil
 }
 
@@ -505,33 +487,33 @@ func (m *Manager) ResultBytes(id string) (header []string, rows [][]string, err 
 func (m *Manager) CancelByID(id string) (Status, bool) {
 	if j, ok := m.Get(id); ok {
 		j.mu.Lock()
+		first := !j.userCanceled
 		// Marked even when not running here: a claim that beats the
 		// store write below then cancels its run at start.
 		j.userCanceled = true
-		if j.state == StateRunning && j.cancel != nil {
-			cancel := j.cancel
-			j.mu.Unlock()
+		cancel := j.cancel
+		running := j.state == StateRunning && cancel != nil
+		j.mu.Unlock()
+		if running {
 			cancel()
-			m.journal(j.ID).Record(obs.JournalEvent{Event: obs.EvCancelRequested})
-			m.log(j, slog.LevelInfo, "job_cancel_requested", slog.String("while", "running"))
+			if first {
+				m.record(id, obs.JournalEvent{Event: obs.EvCancelRequested})
+			}
 			return j.Status(), true
 		}
-		j.mu.Unlock()
 	}
-	man, err := m.st.RequestCancel(id, context.Canceled.Error(), time.Now())
+	man, changed, err := m.st.RequestCancel(id, context.Canceled.Error(), time.Now())
 	if err != nil {
 		return Status{}, false
 	}
-	switch man.State {
-	case store.StateRunning:
-		m.journal(id).Record(obs.JournalEvent{Event: obs.EvCancelRequested,
-			Detail: "flagged for the lease holder"})
-	case store.StateCanceled:
-		m.journal(id).Record(obs.JournalEvent{Event: obs.EvCanceled, Detail: "while queued"})
-		if j, ok := m.Get(id); ok && m.finish(j, StateCanceled, context.Canceled, nil, time.Now()) {
-			m.canceled.Inc()
-			m.log(j, slog.LevelInfo, "job_canceled", slog.String("while", "queued"))
-		}
+	switch {
+	case changed && man.State == store.StateRunning:
+		m.record(id, obs.JournalEvent{Event: obs.EvCancelRequested, Detail: "flagged for the lease holder"})
+	case changed && man.State == store.StateCanceled:
+		m.record(id, obs.JournalEvent{Event: obs.EvCanceled, Detail: "while queued"})
+	}
+	if j, ok := m.Get(id); ok && man.State == store.StateCanceled {
+		m.finish(j, StateCanceled, context.Canceled, nil, time.Now())
 	}
 	if st, ok := m.StatusOf(id); ok {
 		return st, true
@@ -540,18 +522,16 @@ func (m *Manager) CancelByID(id string) (Status, bool) {
 }
 
 // finish moves a local job to a terminal state and closes its Done
-// channel; it reports false, changing nothing, when the job already
-// finished.
-func (m *Manager) finish(j *Job, state State, cause error, res *kanon.Result, at time.Time) bool {
+// channel; a job that already finished is left as it is.
+func (m *Manager) finish(j *Job, state State, cause error, res *kanon.Result, at time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return false
+		return
 	}
 	j.state, j.err, j.result = state, cause, res
 	j.finished, j.expires = at, at.Add(m.cfg.ResultTTL)
 	close(j.done)
-	return true
 }
 
 // janitor evicts terminal jobs whose result TTL has expired.
@@ -599,7 +579,7 @@ func (m *Manager) evictExpired(now time.Time) {
 	m.mu.Unlock()
 	for _, j := range evicted {
 		m.expired.Inc()
-		m.log(j, slog.LevelDebug, "job_expired")
+		m.log(j.ID, slog.LevelDebug, "job_expired")
 	}
 	manifests, _, err := m.st.Jobs()
 	if err != nil {
@@ -612,12 +592,11 @@ func (m *Manager) evictExpired(now time.Time) {
 		}
 		reaped, err := m.st.ReapTerminal(man.ID, cutoff)
 		if err != nil {
-			m.logBare(slog.LevelWarn, "job_reap_failed",
-				slog.String("run_id", man.ID), slog.String("error", err.Error()))
+			m.log(man.ID, slog.LevelWarn, "job_reap_failed", slog.String("error", err.Error()))
 			continue
 		}
 		if reaped {
-			m.logBare(slog.LevelDebug, "job_reaped", slog.String("run_id", man.ID))
+			m.log(man.ID, slog.LevelDebug, "job_reaped")
 		}
 	}
 }
@@ -747,19 +726,15 @@ func (m *Manager) ClusterDepths() (queued, claimed int) {
 	return queued, claimed
 }
 
-// log emits one job lifecycle event with the job ID as run_id.
-func (m *Manager) log(j *Job, level slog.Level, msg string, attrs ...slog.Attr) {
+// log emits one structured line with the job ID, when there is one, as
+// run_id. Lifecycle edges do not come here directly: record derives
+// their lines from the journal event.
+func (m *Manager) log(id string, level slog.Level, msg string, attrs ...slog.Attr) {
 	if m.cfg.Log == nil {
 		return
 	}
-	attrs = append([]slog.Attr{slog.String("run_id", j.ID)}, attrs...)
-	m.cfg.Log.LogAttrs(context.Background(), level, msg, attrs...)
-}
-
-// logBare emits a structured event that is not tied to a local Job.
-func (m *Manager) logBare(level slog.Level, msg string, attrs ...slog.Attr) {
-	if m.cfg.Log == nil {
-		return
+	if id != "" {
+		attrs = append([]slog.Attr{slog.String("run_id", id)}, attrs...)
 	}
 	m.cfg.Log.LogAttrs(context.Background(), level, msg, attrs...)
 }

@@ -5,7 +5,9 @@
 // events.jsonl is the append-only journal: submitted, claimed, lease
 // renewals/steals, checkpoint commits and resumes, phases, and the
 // terminal event — each line stamped with the node that wrote it, so a
-// stolen job's history names every node that touched it.
+// stolen job's history names every node that touched it. Each journal
+// event is also the edge's only other record: record derives the slog
+// line and the /metrics counter from it through the lifecycle table.
 // trace.json is the job's span timeline, flushed at checkpoint commits
 // and terminal transitions; each run captures the previously persisted
 // segments ONCE at start (priorTrace) and merges its own live tracer in
@@ -19,27 +21,61 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"time"
 
 	"kanon/internal/obs"
 	"kanon/internal/stream"
 )
 
-// journal returns the job's event sink in the store. Append failures
-// degrade loudly: journaling is observability, it never fails the job.
-func (m *Manager) journal(id string) *obs.Journal {
-	return obs.NewJournal(m.cfg.NodeID, func(line []byte) error {
-		return m.st.AppendJournal(id, line)
-	}, func(err error) {
-		m.logBare(slog.LevelWarn, "journal_append_failed",
-			slog.String("run_id", id), slog.String("error", err.Error()))
-	})
+// lifecycle is the closed table of job lifecycle edges: for each journal
+// event, the level of its slog line and the /metrics counter it bumps
+// ("" for none). record writes an edge's journal line, slog line and
+// counter bump from the one event, so the three cannot disagree.
+var lifecycle = map[string]struct {
+	level   slog.Level
+	counter string
+}{
+	obs.EvSubmitted:           {slog.LevelInfo, "server.jobs_submitted"},
+	obs.EvClaimed:             {slog.LevelInfo, "server.leases_claimed"},
+	obs.EvLeaseRenewed:        {slog.LevelDebug, "server.leases_renewed"},
+	obs.EvLeaseExpired:        {slog.LevelWarn, ""},
+	obs.EvLeaseStolen:         {slog.LevelInfo, "server.leases_stolen"},
+	obs.EvLeaseReleased:       {slog.LevelInfo, "server.leases_released"},
+	obs.EvLeaseLost:           {slog.LevelWarn, "server.leases_lost"},
+	obs.EvCheckpointCommitted: {slog.LevelDebug, ""},
+	obs.EvCheckpointResumed:   {slog.LevelDebug, ""},
+	obs.EvPhaseStart:          {slog.LevelDebug, ""},
+	obs.EvPhaseDone:           {slog.LevelDebug, ""},
+	obs.EvCancelRequested:     {slog.LevelInfo, ""},
+	obs.EvCanceled:            {slog.LevelInfo, "server.jobs_canceled"},
+	obs.EvSucceeded:           {slog.LevelInfo, "server.jobs_succeeded"},
+	obs.EvFailed:              {slog.LevelWarn, "server.jobs_failed"},
 }
 
-// jobObs bundles the observability handles of one run: the root span of
-// this node's trace segment and the job's journal.
-type jobObs struct {
-	root    *obs.Span
-	journal *obs.Journal
+// record is the one call per lifecycle edge. It stamps the event with
+// this node (unless it names another, as lease_expired names the dead
+// owner) and the time, appends it to the job's journal, logs it under
+// the event's name, and bumps the edge's counter. A failed append is
+// logged as journal_append_failed and never fails the job: journaling
+// is observability.
+func (m *Manager) record(id string, e obs.JournalEvent) {
+	if e.Node == "" {
+		e.Node = m.cfg.NodeID
+	}
+	e.TS = time.Now()
+	line, err := obs.EncodeJournalEvent(e)
+	if err == nil {
+		err = m.st.AppendJournal(id, line)
+	}
+	if err != nil {
+		m.log(id, slog.LevelWarn, "journal_append_failed", slog.String("error", err.Error()))
+	}
+	ed := lifecycle[e.Event]
+	m.log(id, ed.level, e.Event, slog.String("node", e.Node), slog.Uint64("fence", e.Fence),
+		slog.String("phase", e.Phase), slog.String("detail", e.Detail))
+	if ed.counter != "" {
+		m.tr.Counter(ed.counter).Inc()
+	}
 }
 
 // startJobObs opens a run's observability: a fresh per-job tracer whose
@@ -47,15 +83,14 @@ type jobObs struct {
 // NodeID), and a one-time capture of any previously persisted trace
 // segments. The capture happens once, here, so later flushes merge
 // prior + live and never fold an earlier flush of this same run back
-// into itself.
-func (m *Manager) startJobObs(job *Job) jobObs {
-	o := jobObs{journal: m.journal(job.ID)}
+// into itself. It returns the root span.
+func (m *Manager) startJobObs(job *Job) *obs.Span {
 	name := "job"
 	if m.cfg.NodeID != "" {
 		name = "job@" + m.cfg.NodeID
 	}
 	tr := obs.New()
-	o.root = tr.Start(name)
+	root := tr.Start(name)
 	var prior *obs.Snapshot
 	if b, err := m.st.ReadTrace(job.ID); err == nil && len(b) > 0 {
 		var snap obs.Snapshot
@@ -66,7 +101,7 @@ func (m *Manager) startJobObs(job *Job) jobObs {
 	job.mu.Lock()
 	job.tracer, job.priorTrace = tr, prior
 	job.mu.Unlock()
-	return o
+	return root
 }
 
 // jobTraceSnapshot merges the job's prior persisted segments with its
@@ -97,7 +132,7 @@ func (m *Manager) flushJobTrace(job *Job) {
 		err = m.st.WriteTrace(job.ID, b)
 	}
 	if err != nil {
-		m.log(job, slog.LevelWarn, "trace_persist_failed", slog.String("error", err.Error()))
+		m.log(job.ID, slog.LevelWarn, "trace_persist_failed", slog.String("error", err.Error()))
 	}
 }
 
@@ -106,8 +141,8 @@ func (m *Manager) flushJobTrace(job *Job) {
 // trace.json now and a late flush would clobber its fuller view), and
 // detach the tracer so TraceOf reads the persisted file from here on.
 // Returns the final merged timeline.
-func (m *Manager) finishJobObs(job *Job, o jobObs, persist bool) *obs.Snapshot {
-	o.root.End()
+func (m *Manager) finishJobObs(job *Job, root *obs.Span, persist bool) *obs.Snapshot {
+	root.End()
 	snap := m.jobTraceSnapshot(job)
 	if persist {
 		m.flushJobTrace(job)
@@ -128,7 +163,6 @@ type journalCheckpoint struct {
 	inner stream.Checkpoint
 	m     *Manager
 	job   *Job
-	jr    *obs.Journal
 }
 
 // Save flushes the trace before the inner checkpoint writes the block's
@@ -140,20 +174,16 @@ func (c *journalCheckpoint) Save(stat stream.BlockStat, rows [][]string) error {
 	if err := c.inner.Save(stat, rows); err != nil {
 		return err
 	}
-	c.jr.Record(obs.JournalEvent{
-		Event:  obs.EvCheckpointCommitted,
-		Detail: fmt.Sprintf("block [%d,%d) cost=%d", stat.Lo, stat.Hi, stat.Cost),
-	})
+	c.m.record(c.job.ID, obs.JournalEvent{Event: obs.EvCheckpointCommitted,
+		Detail: fmt.Sprintf("block [%d,%d) cost=%d", stat.Lo, stat.Hi, stat.Cost)})
 	return nil
 }
 
 func (c *journalCheckpoint) Load(lo, hi int) ([][]string, *stream.BlockStat, bool, error) {
 	rows, stat, ok, err := c.inner.Load(lo, hi)
 	if ok && err == nil {
-		c.jr.Record(obs.JournalEvent{
-			Event:  obs.EvCheckpointResumed,
-			Detail: fmt.Sprintf("block [%d,%d)", lo, hi),
-		})
+		c.m.record(c.job.ID, obs.JournalEvent{Event: obs.EvCheckpointResumed,
+			Detail: fmt.Sprintf("block [%d,%d)", lo, hi)})
 	}
 	return rows, stat, ok, err
 }
@@ -178,14 +208,12 @@ func (m *Manager) EventsOf(id string) ([]obs.JournalEvent, bool) {
 	}
 	b, err := m.st.ReadJournal(id)
 	if err != nil {
-		m.logBare(slog.LevelWarn, "journal_read_failed",
-			slog.String("run_id", id), slog.String("error", err.Error()))
+		m.log(id, slog.LevelWarn, "journal_read_failed", slog.String("error", err.Error()))
 		return nil, true
 	}
 	events, err := obs.DecodeJournal(b)
 	if err != nil {
-		m.logBare(slog.LevelWarn, "journal_corrupt",
-			slog.String("run_id", id), slog.String("error", err.Error()))
+		m.log(id, slog.LevelWarn, "journal_corrupt", slog.String("error", err.Error()))
 		return nil, true
 	}
 	return events, true
@@ -209,7 +237,7 @@ func (m *Manager) TraceOf(id string) (*obs.Snapshot, bool) {
 		if err := json.Unmarshal(b, &snap); err == nil {
 			return &snap, true
 		}
-		m.logBare(slog.LevelWarn, "trace_corrupt", slog.String("run_id", id))
+		m.log(id, slog.LevelWarn, "trace_corrupt")
 	}
 	return &obs.Snapshot{}, true
 }

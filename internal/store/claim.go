@@ -62,6 +62,14 @@ var (
 // waiting out lockStale).
 const lockAcquireTimeout = 10 * time.Second
 
+// reapAttempts bounds how often ReapTerminal removes a job directory
+// that a lock waiter wrote into mid-removal.
+const reapAttempts = 10
+
+// errUnchanged, returned by a mutate callback, commits nothing: mutate
+// returns the manifest as read, with no error.
+var errUnchanged = errors.New("store: manifest unchanged")
+
 // lockJob acquires the per-job mutation lock, returning the unlock
 // function. The lock is a file created with O_EXCL — the one primitive
 // that arbitrates between processes sharing the directory. Stale locks
@@ -96,7 +104,8 @@ func (s *Store) lockJob(id string) (func(), error) {
 // mutate applies fn to the job's manifest as one locked
 // read-modify-write. fn sees the freshest committed manifest; if it
 // returns an error nothing is written. The committed manifest is
-// returned on success.
+// returned on success, and the unwritten one when fn returns
+// errUnchanged.
 func (s *Store) mutate(id string, fn func(*Manifest) error) (*Manifest, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
@@ -114,7 +123,9 @@ func (s *Store) mutate(id string, fn func(*Manifest) error) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fn(m); err != nil {
+	if err := fn(m); err == errUnchanged {
+		return m, nil
+	} else if err != nil {
 		return nil, err
 	}
 	out, err := EncodeManifest(m)
@@ -249,32 +260,38 @@ func (s *Store) ReleaseJob(id, node string, fence uint64) (*Manifest, error) {
 // RequestCancel asks for a job's cancellation from anywhere in the
 // cluster. A queued job is cancelled on the spot (terminal, with
 // reason); a running job gets CancelRequested set, which its lease
-// holder observes at the next renewal and unwinds; a terminal job is
-// untouched. The committed manifest is returned either way.
-func (s *Store) RequestCancel(id, reason string, now time.Time) (*Manifest, error) {
-	return s.mutate(id, func(m *Manifest) error {
-		switch m.State {
-		case StateQueued:
+// holder observes at the next renewal and unwinds. changed reports
+// whether this call made that transition: a terminal job, or a running
+// one already flagged, is left as it is and not rewritten. The current
+// manifest is returned either way.
+func (s *Store) RequestCancel(id, reason string, now time.Time) (m *Manifest, changed bool, err error) {
+	m, err = s.mutate(id, func(m *Manifest) error {
+		switch {
+		case m.State == StateQueued:
 			m.State = StateCanceled
 			m.Error = reason
 			t := now
 			m.FinishedAt = &t
 			m.Claim = nil
-		case StateRunning:
+		case m.State == StateRunning && !m.CancelRequested:
 			m.CancelRequested = true
+		default:
+			return errUnchanged
 		}
+		changed = true
 		return nil
 	})
+	return m, changed && err == nil, err
 }
 
 // ReapTerminal removes a job's directory iff its manifest is terminal
-// and it finished at or before cutoff. The check and the removal happen
-// under the job's mutation lock, so a reap can never race a concurrent
-// claim or recovery read into resurrecting (or half-deleting) the job:
-// claimers serialized behind the lock find the directory gone and move
-// on. Jobs that are absent, non-terminal, or too fresh report
-// reaped=false with no error; an undecodable manifest is an error (the
-// janitor should warn, not silently destroy evidence).
+// and it finished at or before cutoff. The check happens under the
+// job's mutation lock, so a reap can never race a concurrent claim
+// into deleting live work: a terminal manifest is never claimable, and
+// no locked mutation rewrites one. Jobs that are absent, non-terminal,
+// or too fresh report reaped=false with no error; an undecodable
+// manifest is an error (the janitor should warn, not silently destroy
+// evidence).
 func (s *Store) ReapTerminal(id string, cutoff time.Time) (reaped bool, err error) {
 	if err := ValidateID(id); err != nil {
 		return false, err
@@ -286,8 +303,14 @@ func (s *Store) ReapTerminal(id string, cutoff time.Time) (reaped bool, err erro
 		}
 		return false, err
 	}
-	defer unlock()
-	b, err := s.be.ReadFile(path.Join(jobRel(id), "manifest.json"))
+	held := true
+	defer func() {
+		if held {
+			unlock()
+		}
+	}()
+	rel := path.Join(jobRel(id), "manifest.json")
+	b, err := s.be.ReadFile(rel)
 	if err != nil {
 		if notExist(err) {
 			return false, nil
@@ -301,12 +324,22 @@ func (s *Store) ReapTerminal(id string, cutoff time.Time) (reaped bool, err erro
 	if !m.Terminal() || m.FinishedAt == nil || m.FinishedAt.After(cutoff) {
 		return false, nil
 	}
-	// RemoveAll takes the lock file with the directory; the deferred
-	// unlock's Remove then fails with ENOENT, which it ignores. Any
-	// mutator waiting on the lock next sees ENOENT from its O_EXCL
-	// create and reports the job gone.
-	if err := s.be.RemoveAll(jobRel(id)); err != nil {
-		return false, fmt.Errorf("store: %w", err)
+	// RemoveAll deletes the lock file before the directory, so a waiter
+	// in lockJob can create its own lock in the half-removed directory
+	// (and AppendJournal write under it) and fail the final rmdir. Such
+	// a waiter finds the job gone or terminal and leaves at once: retry.
+	// If the directory still stands, put the manifest back, so the next
+	// sweep can reap it. Our lock goes with the first attempt; releasing
+	// it after that could delete a waiter's.
+	held = false
+	for i := 0; i < reapAttempts; i++ {
+		if i > 0 {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err = s.be.RemoveAll(jobRel(id)); err == nil {
+			return true, nil
+		}
 	}
-	return true, nil
+	_ = s.be.WriteAtomic(rel, b)
+	return false, fmt.Errorf("store: %w", err)
 }

@@ -3,9 +3,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -168,7 +171,7 @@ func TestRequestCancel(t *testing.T) {
 	now := time.Now()
 	s := openClaimStore(t, "queued-1", "running-1")
 
-	m, err := s.RequestCancel("queued-1", "context canceled", now)
+	m, _, err := s.RequestCancel("queued-1", "context canceled", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestRequestCancel(t *testing.T) {
 	if _, _, err := s.ClaimJob("running-1", "node-a", time.Minute, now); err != nil {
 		t.Fatal(err)
 	}
-	m, err = s.RequestCancel("running-1", "context canceled", now)
+	m, _, err = s.RequestCancel("running-1", "context canceled", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +208,61 @@ func TestRequestCancel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err = s.RequestCancel("running-1", "again", now)
+	m, _, err = s.RequestCancel("running-1", "again", now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.State != StateCanceled || m.Error != "context canceled" {
 		t.Fatalf("terminal cancel mutated the job: %+v", m)
+	}
+}
+
+// manifestWrites counts the manifest commits that reach its backend.
+type manifestWrites struct {
+	Backend
+	n int
+}
+
+func (b *manifestWrites) WriteAtomic(rel string, data []byte) error {
+	if path.Base(rel) == "manifest.json" {
+		b.n++
+	}
+	return b.Backend.WriteAtomic(rel, data)
+}
+
+// TestRequestCancelReportsTransition: RequestCancel reports whether the
+// call itself cancelled a queued job or flagged a running one, and a
+// repeat, which changes nothing, rewrites nothing.
+func TestRequestCancelReportsTransition(t *testing.T) {
+	now := time.Now()
+	be := &manifestWrites{Backend: NewMemory()}
+	s, err := OpenBackend(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	createJobs(t, s, "queued-1", "running-1")
+	if _, _, err := s.ClaimJob("running-1", "node-a", time.Minute, now); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id, state string
+		changed   bool
+		writes    int
+	}{
+		{"queued-1", StateCanceled, true, 1},
+		{"queued-1", StateCanceled, false, 0},
+		{"running-1", StateRunning, true, 1},
+		{"running-1", StateRunning, false, 0},
+	} {
+		before := be.n
+		m, changed, err := s.RequestCancel(tc.id, "context canceled", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.State != tc.state || changed != tc.changed || be.n-before != tc.writes {
+			t.Errorf("cancel %s: state %s changed %v with %d manifest writes, want %s %v %d",
+				tc.id, m.State, changed, be.n-before, tc.state, tc.changed, tc.writes)
+		}
 	}
 }
 
@@ -452,6 +504,89 @@ func testReapClaimRace(t *testing.T, open func() *Store) {
 	}
 }
 
+// lockWaiterBackend replays the reap's race with a lock waiter: its
+// next fail RemoveAll calls of a job directory empty the directory,
+// the reaper's lock included, then let a waiter's O_EXCL lock land
+// before the final rmdir, which fails the way os.RemoveAll does.
+type lockWaiterBackend struct {
+	Backend
+	fail int
+}
+
+func (b *lockWaiterBackend) RemoveAll(rel string) error {
+	if b.fail == 0 || path.Dir(rel) != "jobs" {
+		return b.Backend.RemoveAll(rel)
+	}
+	b.fail--
+	entries, err := b.List(rel)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if err := b.Backend.RemoveAll(path.Join(rel, e.Name)); err != nil {
+			return err
+		}
+	}
+	if err := b.TryLock(path.Join(rel, "manifest.lock")); err != nil {
+		return err
+	}
+	return &fs.PathError{Op: "unlinkat", Path: rel, Err: syscall.ENOTEMPTY}
+}
+
+// TestReapSurvivesLockWaiter: a waiter's lock file landing in the
+// half-removed directory does not stop the reap, and a directory that
+// keeps failing gets its manifest back, so it stays reapable instead of
+// turning into a directory no scan can see.
+func TestReapSurvivesLockWaiter(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		be := &lockWaiterBackend{Backend: open().Backend()}
+		s, err := OpenBackend(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Now()
+		fin := now.Add(-time.Hour)
+		for _, id := range []string{"job-1", "job-2"} {
+			createJobs(t, s, id)
+			if _, _, err := s.ClaimJob(id, "node-a", time.Minute, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.UpdateClaimed(id, "node-a", 1, func(m *Manifest) error {
+				m.State, m.Error, m.FinishedAt = StateFailed, "x", &fin
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		be.fail = 1
+		if reaped, err := s.ReapTerminal("job-1", now); err != nil || !reaped {
+			t.Fatalf("reap past one lock waiter: reaped=%v err=%v", reaped, err)
+		}
+		if entries, err := be.List("jobs"); err != nil || len(entries) != 1 || entries[0].Name != "job-2" {
+			t.Fatalf("jobs after the reap: %v, %v", entries, err)
+		}
+
+		be.fail = reapAttempts
+		if reaped, err := s.ReapTerminal("job-2", now); err == nil || reaped {
+			t.Fatalf("reap that never finishes: reaped=%v err=%v", reaped, err)
+		}
+		if m, err := s.ReadManifest("job-2"); err != nil || m.State != StateFailed {
+			t.Fatalf("manifest after a failed reap: %+v, %v", m, err)
+		}
+		// The waiter unlocks; the next sweep reaps the job.
+		if err := be.Remove("jobs/job-2/manifest.lock"); err != nil {
+			t.Fatal(err)
+		}
+		if reaped, err := s.ReapTerminal("job-2", now); err != nil || !reaped {
+			t.Fatalf("second sweep: reaped=%v err=%v", reaped, err)
+		}
+		if entries, err := be.List("jobs"); err != nil || len(entries) != 0 {
+			t.Fatalf("jobs after the second sweep: %v, %v", entries, err)
+		}
+	})
+}
+
 // TestClaimOpsOnMissingOrInvalidJobs: every claim-path operation fails
 // cleanly — no panic, no directory creation — on IDs that are unsafe or
 // simply not there.
@@ -467,7 +602,7 @@ func TestClaimOpsOnMissingOrInvalidJobs(t *testing.T) {
 	if _, err := s.ReleaseJob("ghost", "node-a", 1); err == nil {
 		t.Error("release of missing job succeeded")
 	}
-	if _, err := s.RequestCancel("ghost", "bye", now); err == nil {
+	if _, _, err := s.RequestCancel("ghost", "bye", now); err == nil {
 		t.Error("cancel of missing job succeeded")
 	}
 	if _, _, err := s.ClaimJob("../evil", "node-a", time.Minute, now); err == nil {

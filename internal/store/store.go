@@ -168,18 +168,6 @@ func (s *Store) readCSV(id, name string) (header []string, rows [][]string, err 
 	return header, rows, nil
 }
 
-// Delete reaps a job's entire directory — the TTL janitor's disk side.
-// Deleting a job that is not on disk is a no-op.
-func (s *Store) Delete(id string) error {
-	if err := ValidateID(id); err != nil {
-		return err
-	}
-	if err := s.be.RemoveAll(jobRel(id)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
 // Jobs scans the store and returns every decodable manifest, oldest
 // submission first (ties broken by ID) so recovery re-enqueues in the
 // original admission order. Entries that are not job directories or

@@ -469,7 +469,9 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 // in independent blocks of at most blockRows, each with the Theorem 4.2
 // greedy, and adapts the release to a Result whose groups are the
 // released table's textual equivalence classes. Of opts only Kernel,
-// Refine, Workers, Span and Log apply.
+// Refine, Workers, Span and Log apply; a non-ball Algorithm,
+// ColumnWeights, Hierarchy or MaxSuppress is an error rather than
+// silently ignored.
 //
 // A non-nil ckpt makes the pass durable and resumable: each finished
 // block is spooled, and blocks a prior (crashed) run finished are
@@ -480,11 +482,15 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 	if opts == nil {
 		opts = &Options{}
 	}
-	t := relation.NewTable(relation.NewSchema(header...))
-	for _, r := range rows {
-		if err := t.AppendStrings(r...); err != nil {
-			return nil, 0, err
-		}
+	switch {
+	case opts.Algorithm != AlgoGreedyBall:
+		return nil, 0, fmt.Errorf("kanon: block streaming runs only %s, got %s", AlgoGreedyBall, opts.Algorithm)
+	case len(opts.ColumnWeights) > 0 || opts.Hierarchy != nil || opts.MaxSuppress != 0:
+		return nil, 0, fmt.Errorf("kanon: block streaming honors no column weights, hierarchy or suppression budget")
+	}
+	t, err := buildTable(header, rows)
+	if err != nil {
+		return nil, 0, err
 	}
 	sr, err := stream.Anonymize(t, k, &stream.Options{
 		Ctx:        ctx,

@@ -1,6 +1,8 @@
 package kanon
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,36 @@ func TestAnonymizeInputValidation(t *testing.T) {
 	}
 	if _, err := Anonymize(exampleHeader, exampleRows, 2, &Options{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("accepted unknown algorithm")
+	}
+}
+
+// TestAnonymizeBlocksRefusesUnhonoredOptions: the block path runs the
+// ball greedy alone, so any option it would ignore is an error, while
+// naming the ball greedy explicitly changes nothing.
+func TestAnonymizeBlocksRefusesUnhonoredOptions(t *testing.T) {
+	ctx := context.Background()
+	want, _, err := AnonymizeBlocks(ctx, exampleHeader, exampleRows, 2, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := AnonymizeBlocks(ctx, exampleHeader, exampleRows, 2, 2, &Options{Algorithm: AlgoGreedyBall}, nil)
+	if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("explicit ball: %v, %v; want %v", got, err, want.Rows)
+	}
+	for name, opts := range map[string]*Options{
+		"exhaustive": {Algorithm: AlgoGreedyExhaustive},
+		"sorted":     {Algorithm: AlgoSorted},
+		"hierarchy":  {Algorithm: AlgoHierarchy},
+		"weights":    {ColumnWeights: []int{9, 1, 1, 1}},
+		"spec":       {Hierarchy: &HierarchySpec{}},
+		"suppress":   {MaxSuppress: 1},
+	} {
+		if _, _, err := AnonymizeBlocks(ctx, exampleHeader, exampleRows, 2, 2, opts, nil); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, _, err := AnonymizeBlocks(ctx, exampleHeader, [][]string{{"1"}}, 1, 2, nil, nil); err == nil {
+		t.Error("accepted ragged row")
 	}
 }
 
