@@ -190,7 +190,10 @@ func TestWeightedRunObservedLikeUnweighted(t *testing.T) {
 func TestWeightedTrueDiameterWeights(t *testing.T) {
 	tab := dataset.Census(rand.New(rand.NewSource(1)), 40, 6)
 	w := core.Weights{5, 1, 1, 3, 1, 2}
-	mat := core.WeightedMatrix(tab, w)
+	mat, err := core.WeightedMatrixCtx(context.Background(), tab, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	family, err := cover.BallsCtx(context.Background(), mat, 3, cover.WeightTrueDiameter, 0, nil)
 	if err != nil {
 		t.Fatal(err)

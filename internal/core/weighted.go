@@ -100,17 +100,11 @@ func (s *Suppressor) WeightedStars(w Weights) int {
 	return total
 }
 
-// WeightedMatrix builds the d_w distance matrix for a table.
-func WeightedMatrix(t *relation.Table, w Weights) *metric.Matrix {
-	m, _ := WeightedMatrixCtx(context.Background(), t, w, 1)
-	return m
-}
-
-// WeightedMatrixCtx is WeightedMatrix with cancellation and
-// parallelism: the O(n²m) fill polls ctx per row and shards rows
-// across workers, like the unweighted NewMatrixCtx. The matrix is
-// byte-identical for every worker count; a non-nil error wraps
-// ctx.Err().
+// WeightedMatrixCtx builds the d_w distance matrix for a table (the
+// plain Hamming matrix when w is nil). The O(n²m) fill polls ctx per
+// row and shards rows across workers, like the unweighted
+// NewMatrixCtx. The matrix is byte-identical for every worker count;
+// a non-nil error wraps ctx.Err().
 func WeightedMatrixCtx(ctx context.Context, t *relation.Table, w Weights, workers int) (*metric.Matrix, error) {
 	if w == nil {
 		return metric.NewMatrixCtx(ctx, t, workers)

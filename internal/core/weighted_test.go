@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,7 @@ func TestCostWeightedAndWeightedStars(t *testing.T) {
 func TestWeightedMatrix(t *testing.T) {
 	tab := relation.MustFromBitstrings("00", "01", "11")
 	w := Weights{7, 3}
-	mat := WeightedMatrix(tab, w)
+	mat := weightedMatrix(t, tab, w)
 	if got := mat.Dist(0, 1); got != 3 {
 		t.Errorf("d_w(00,01) = %d, want 3", got)
 	}
@@ -104,10 +105,20 @@ func TestWeightedMatrix(t *testing.T) {
 		t.Errorf("d_w(00,11) = %d, want 10", got)
 	}
 	// nil weights fall back to the plain matrix.
-	plain := WeightedMatrix(tab, nil)
+	plain := weightedMatrix(t, tab, nil)
 	if got := plain.Dist(0, 2); got != metric.Distance(tab.Row(0), tab.Row(2)) {
 		t.Errorf("nil-weight matrix wrong: %d", got)
 	}
+}
+
+// weightedMatrix is WeightedMatrixCtx on one worker.
+func weightedMatrix(t *testing.T, tab *relation.Table, w Weights) *metric.Matrix {
+	t.Helper()
+	mat, err := WeightedMatrixCtx(context.Background(), tab, w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mat
 }
 
 // TestWeightedDistanceIsMetric: d_w keeps the triangle inequality.
@@ -128,7 +139,7 @@ func TestWeightedDistanceIsMetric(t *testing.T) {
 			vecs[i] = v
 		}
 		tab := relation.MustFromVectors(vecs)
-		mat := WeightedMatrix(tab, w)
+		mat := weightedMatrix(t, tab, w)
 		return mat.Dist(0, 2) <= mat.Dist(0, 1)+mat.Dist(1, 2) &&
 			mat.Dist(0, 1) == mat.Dist(1, 0)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"kanon/internal/metric"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 )
 
 // GreedyBallsCtx runs the greedy cover over the ball family without
@@ -36,8 +37,8 @@ import (
 // center's recomputed key is no worse than the next key in the queue.
 //
 // The histogram build and the per-pick updates are sharded across
-// workers by center (0 means all CPUs, 1 forces the sequential path,
-// and counts past GOMAXPROCS run as GOMAXPROCS); each center's
+// workers by center through par.For (par.Workers resolves the count:
+// 0 means all CPUs, 1 forces the sequential path); each center's
 // histogram is written by one worker at a time and the greedy
 // selection itself is sequential, so the chosen cover is
 // byte-identical for every worker count. The context is checked once
@@ -62,7 +63,7 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	ws := newHistWorkers(mat, workers)
 	ns := sp.Start("cover.neighbor-order")
 	hist := make([][]distBucket, n)
-	forEachIndexOn(n, len(ws), func(w, c int) {
+	par.For(n, len(ws), func(w, c int) {
 		if ctx.Err() != nil {
 			return // drain remaining centers cheaply; checked below
 		}
@@ -178,7 +179,7 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 				}
 			}
 		}
-		forEachIndexOn(n, len(ws), update)
+		par.For(n, len(ws), update)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cover: ball greedy: %w", err)
 		}
@@ -215,7 +216,7 @@ type histWorker struct {
 // across.
 func newHistWorkers(mat metric.Kernel, workers int) []histWorker {
 	n, maxd := mat.Len(), mat.MaxDist()
-	ws := make([]histWorker, normWorkers(workers, n))
+	ws := make([]histWorker, par.Workers(workers, n))
 	for w := range ws {
 		ws[w].row = make([]int32, n)
 		ws[w].buf = make([]distBucket, 0, min(n, maxd+1))

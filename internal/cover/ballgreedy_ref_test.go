@@ -14,6 +14,7 @@ import (
 	"kanon/internal/dataset"
 	"kanon/internal/metric"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 	"kanon/internal/relation"
 )
 
@@ -42,7 +43,7 @@ func greedyBallsRef(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	if _, dense := mat.(*metric.Matrix); dense {
 		ns := sp.Start("cover.neighbor-order")
 		ord = make([][]int32, n)
-		forEachIndex(n, workers, func(c int) {
+		par.For(n, workers, func(_, c int) {
 			if ctx.Err() != nil {
 				return // drain remaining centers cheaply; checked below
 			}
@@ -127,7 +128,7 @@ func greedyBallsRef(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	// worker count.
 	entries := make([]centerEntry, n)
 	valid := make([]bool, n)
-	forEachIndex(n, workers, func(c int) {
+	par.For(n, workers, func(_, c int) {
 		if ctx.Err() != nil {
 			return // drain remaining centers cheaply; checked below
 		}
@@ -279,7 +280,7 @@ func TestGreedyBallsMatchesReference(t *testing.T) {
 		}
 		large[0], large[m-1] = 40000, 20000
 		dense := metric.NewMatrix(tb.tab)
-		bit := metric.NewBitKernel(tb.tab)
+		bit := bitKernel(t, tb.tab)
 		kernels := map[string]metric.Kernel{"dense": dense, "bitset": bit}
 		if !raceEnabled {
 			kernels["pairwise"] = pairwiseKernel{bit} // differs from bitset only in how rows are filled

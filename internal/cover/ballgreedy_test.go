@@ -24,7 +24,7 @@ func TestGreedyBallsAllocs(t *testing.T) {
 		t.Skip("one goroutine, nothing to race; the plain run pins the count")
 	}
 	tab := dataset.Census(rand.New(rand.NewSource(3)), 1500, 8)
-	for name, kern := range map[string]metric.Kernel{"bitset": metric.NewBitKernel(tab), "dense": metric.NewMatrix(tab)} {
+	for name, kern := range map[string]metric.Kernel{"bitset": bitKernel(t, tab), "dense": metric.NewMatrix(tab)} {
 		var sets []Set
 		allocs := testing.AllocsPerRun(2, func() {
 			var err error
@@ -80,7 +80,7 @@ func TestGreedyBallsCancelAtEveryPoll(t *testing.T) {
 		workers int
 	}{
 		{"census/sequential", metric.NewMatrix(dataset.Census(rand.New(rand.NewSource(8)), 40, 4)), 2, 1},
-		{"two-groups/sharded", metric.NewBitKernel(twoGroupTable(rand.New(rand.NewSource(9)), 200)), 3, 2},
+		{"two-groups/sharded", bitKernel(t, twoGroupTable(rand.New(rand.NewSource(9)), 200)), 3, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,7 +121,7 @@ func TestGreedyBallsCancelAtEveryPoll(t *testing.T) {
 // worker (2,000 rows of 2,000 distances would be 16 MB here).
 func TestGreedyBallsHugeWorkerCount(t *testing.T) {
 	tab := dataset.Census(rand.New(rand.NewSource(4)), 2000, 8)
-	bit := metric.NewBitKernel(tab)
+	bit := bitKernel(t, tab)
 	want, err := GreedyBallsCtx(context.Background(), bit, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -140,4 +140,14 @@ func TestGreedyBallsHugeWorkerCount(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 		t.Errorf("allocated %d bytes at workers = MaxInt, want at most %d", alloc, 4<<20)
 	}
+}
+
+// bitKernel packs tab into the matrix-free kernel.
+func bitKernel(tb testing.TB, tab *relation.Table) *metric.BitKernel {
+	tb.Helper()
+	bit, err := metric.NewBitKernelCtx(context.Background(), tab)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bit
 }

@@ -53,7 +53,7 @@ func BenchmarkBallsParallel(b *testing.B) {
 // all below the counting-sort cutoff.
 func BenchmarkGreedyBallsParallel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
-	bit := metric.NewBitKernel(dataset.Census(rand.New(rand.NewSource(20040614)), 2000, 8))
+	bit := bitKernel(b, dataset.Census(rand.New(rand.NewSource(20040614)), 2000, 8))
 	pow := make(core.Weights, 12)
 	for j := range pow {
 		pow[j] = 1 << j

@@ -7,6 +7,7 @@ import (
 
 	"kanon/internal/metric"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 )
 
 // ExhaustiveCtx builds the paper's collection C: every subset of
@@ -136,7 +137,7 @@ func BallsWitness(mat metric.Kernel, k int, w BallWeight, workers int) ([]Set, e
 		return nil, fmt.Errorf("cover: n = %d < k = %d", n, k)
 	}
 	perCenter := make([][]Set, n)
-	forEachIndex(n, workers, func(c int) {
+	par.For(n, workers, func(_, c int) {
 		var out []Set
 		seen := map[int]bool{} // realized radii already emitted for c
 		for w2 := 0; w2 < n; w2++ {
@@ -223,7 +224,7 @@ func BallsCtx(ctx context.Context, mat metric.Kernel, k int, w BallWeight, worke
 		return nil, fmt.Errorf("cover: n = %d < k = %d", n, k)
 	}
 	perCenter := make([][]Set, n)
-	forEachIndex(n, workers, func(c int) {
+	par.For(n, workers, func(_, c int) {
 		if ctx.Err() != nil {
 			return // drain remaining centers cheaply; checked below
 		}

@@ -105,10 +105,10 @@ func TestNeighborOrderMatchesComparisonSort(t *testing.T) {
 				base[i][j], base[j][i] = d, d
 			}
 		}
-		small := metric.NewMatrixFunc(n, func(i, j int) int { return base[i][j] })
+		small := funcMatrix(t, n, func(i, j int) int { return base[i][j] })
 		// Scaling by a large constant forces the comparison-sort
 		// fallback (bucket range ≫ 8n) without changing the order.
-		big := metric.NewMatrixFunc(n, func(i, j int) int { return base[i][j] * 100000 })
+		big := funcMatrix(t, n, func(i, j int) int { return base[i][j] * 100000 })
 		for c := 0; c < n; c++ {
 			ref := make([]int32, n)
 			for v := range ref {
@@ -133,12 +133,22 @@ func TestNeighborOrderMatchesComparisonSort(t *testing.T) {
 	}
 }
 
+// funcMatrix builds the matrix of an arbitrary metric on one worker.
+func funcMatrix(t *testing.T, n int, dist func(i, j int) int) *metric.Matrix {
+	t.Helper()
+	mat, err := metric.NewMatrixFuncCtx(context.Background(), n, 1, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mat
+}
+
 // TestBallsOnWideMetric checks the family builder end-to-end on a
 // metric whose distances exceed int16 — the widened-storage path plus
 // the counting-sort fallback together.
 func TestBallsOnWideMetric(t *testing.T) {
 	n := 30
-	mat := metric.NewMatrixFunc(n, func(i, j int) int { return (j - i) * 50000 })
+	mat := funcMatrix(t, n, func(i, j int) int { return (j - i) * 50000 })
 	if !mat.Wide() {
 		t.Fatal("expected wide storage")
 	}

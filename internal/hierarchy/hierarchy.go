@@ -33,7 +33,8 @@ type Options struct {
 	// Spec declares the hierarchies; nil derives one from the data
 	// (intervals for integer columns, balanced trees otherwise).
 	Spec *Spec
-	// Workers bounds search parallelism; results never depend on it.
+	// Workers bounds search parallelism as SearchOptions.Workers does
+	// (0 or negative means all CPUs); results never depend on it.
 	Workers int
 	// MaxNodes and BeamWidth tune the lattice search (0 = defaults).
 	MaxNodes, BeamWidth int

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kanon/internal/obs"
+	"kanon/internal/par"
 )
 
 // Search limits and defaults.
@@ -23,9 +22,11 @@ const (
 
 // SearchOptions tunes the lattice cut search.
 type SearchOptions struct {
-	// Workers bounds the goroutines used for count-tree walks; ≤ 1
-	// walks sequentially. Parallelism never changes the result: walk
-	// results are applied in a fixed node order.
+	// Workers bounds the goroutines used for count-tree walks, as
+	// par.Workers resolves it: 0 or negative means all CPUs, counts are
+	// clamped to GOMAXPROCS and to the nodes a batch walks, and 1 walks
+	// sequentially. Parallelism never changes the result: walk results
+	// are applied in a fixed node order.
 	Workers int
 	// MaxNodes caps exhaustive enumeration (0 = DefaultMaxNodes).
 	MaxNodes int
@@ -90,9 +91,6 @@ func Search(ct *CountTree, k, maxSup int, opts *SearchOptions) (*SearchResult, e
 		e.ctx = context.Background()
 	}
 	e.workers = opts.Workers
-	if e.workers < 1 {
-		e.workers = 1
-	}
 	m := len(ct.cols)
 	e.dims = make([]int, m)
 	total := int64(1)
@@ -145,9 +143,11 @@ type engine struct {
 	walkNS  *obs.Histogram
 
 	dims []int // levels per column (height+1)
-	// walkers[i] belongs to worker i alone. walkAll grows the slice to
-	// the workers a batch uses, so it never exceeds the largest batch.
+	// walkers[w] and levels[w], the level vector its nodes are decoded
+	// into, belong to pool worker w alone. walkAll grows both to the
+	// workers a batch uses, so they never exceed the largest batch.
 	walkers []*walker
+	levels  [][]int
 
 	// exhaustive-engine state, indexed by mixed-radix rank.
 	status   []uint8
@@ -189,9 +189,9 @@ type walkRes struct {
 	ncp        float64
 }
 
-// walkAll checks the lattice nodes levelsAt(0..n-1), in parallel when
-// workers allow. levelsAt may fill the scratch vector it is given.
-// Each worker walks with its own walker, kept for the whole search.
+// walkAll checks the lattice nodes levelsAt(0..n-1) on the par pool.
+// levelsAt may fill the scratch vector it is given. Each worker walks
+// with its own walker and level vector, kept for the whole search.
 // Results are positionally aligned, so callers apply them in a
 // deterministic order regardless of scheduling.
 func (e *engine) walkAll(n int, full bool, levelsAt func(i int, scratch []int) []int) ([]walkRes, error) {
@@ -200,38 +200,20 @@ func (e *engine) walkAll(n int, full bool, levelsAt func(i int, scratch []int) [
 	}
 	res := make([]walkRes, n)
 	e.walked += n
-	workers := min(e.workers, n)
+	workers := par.Workers(e.workers, n)
 	for len(e.walkers) < workers {
 		e.walkers = append(e.walkers, e.ct.newWalker())
+		e.levels = append(e.levels, make([]int, len(e.dims)))
 	}
-	var next atomic.Int64
-	work := func(id int) {
-		w, scratch := e.walkers[id], make([]int, len(e.dims))
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || e.ctx.Err() != nil {
-				return
-			}
-			t0 := time.Now()
-			ok, sup, ncp := w.check(levelsAt(i, scratch), e.k, e.maxSup, full)
-			e.walkNS.ObserveDuration(time.Since(t0))
-			res[i] = walkRes{ok: ok, suppressed: sup, ncp: ncp}
+	par.For(n, workers, func(w, i int) {
+		if e.ctx.Err() != nil {
+			return // drain the remaining nodes cheaply; checked below
 		}
-	}
-	switch {
-	case workers == 1:
-		work(0)
-	case workers > 1:
-		var wg sync.WaitGroup
-		for id := 0; id < workers; id++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(id)
-			}()
-		}
-		wg.Wait()
-	}
+		t0 := time.Now()
+		ok, sup, ncp := e.walkers[w].check(levelsAt(i, e.levels[w]), e.k, e.maxSup, full)
+		e.walkNS.ObserveDuration(time.Since(t0))
+		res[i] = walkRes{ok: ok, suppressed: sup, ncp: ncp}
+	})
 	if err := e.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hierarchy: search cancelled: %w", err)
 	}

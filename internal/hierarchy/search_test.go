@@ -83,7 +83,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	ct := BuildCountTree(tab, cols)
 	for _, maxNodes := range []int{0 /* exhaustive */, 4 /* forces beam */} {
 		var base *SearchResult
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 0, 2, 4, math.MaxInt} {
 			got, err := Search(ct, 3, 2, &SearchOptions{Workers: workers, MaxNodes: maxNodes})
 			if err != nil {
 				t.Fatal(err)

@@ -40,15 +40,9 @@ type BitKernel struct {
 // most m words; wider columns cost less as 4-byte packed codes.
 const maxOnehotWidth = 64
 
-// NewBitKernel packs the rows of t into a matrix-free kernel.
-func NewBitKernel(t *relation.Table) *BitKernel {
-	b, _ := NewBitKernelCtx(context.Background(), t)
-	return b
-}
-
-// NewBitKernelCtx is NewBitKernel with cancellation, polled every 1024
-// rows during the O(n·m) packing pass. The returned error wraps
-// ctx.Err().
+// NewBitKernelCtx packs the rows of t into a matrix-free kernel. The
+// O(n·m) packing pass polls ctx every 1024 rows; the returned error
+// wraps ctx.Err().
 func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error) {
 	n, m := t.Len(), t.Degree()
 	b := &BitKernel{n: n, m: m}

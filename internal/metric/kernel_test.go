@@ -3,6 +3,7 @@ package metric
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -235,10 +236,11 @@ func TestNewMatrixFuncCtxCancel(t *testing.T) {
 	}
 }
 
-// TestNewMatrixFuncCtxMatchesSequential pins the ctx/workers variant to
-// the plain constructor for a nontrivial distance function.
+// TestNewMatrixFuncCtxMatchesSequential pins the parallel fills to the
+// distance function, and so to the one-worker fill, for a nontrivial
+// metric on a table large enough to run them.
 func TestNewMatrixFuncCtxMatchesSequential(t *testing.T) {
-	n := 37
+	n := parallelThreshold + 37
 	dist := func(i, j int) int { return (i*31 + j*17) % 23 }
 	sym := func(i, j int) int {
 		if i > j {
@@ -246,19 +248,27 @@ func TestNewMatrixFuncCtxMatchesSequential(t *testing.T) {
 		}
 		return dist(i, j)
 	}
-	want := NewMatrixFunc(n, sym)
-	for _, workers := range []int{1, 3, 8} {
+	want := funcMatrix(t, n, sym)
+	for _, workers := range []int{0, 3, 8, math.MaxInt} {
 		got, err := NewMatrixFuncCtx(context.Background(), n, workers, sym)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if want.Dist(i, j) != got.Dist(i, j) {
-					t.Fatalf("workers=%d: Dist(%d,%d) = %d, want %d",
-						workers, i, j, got.Dist(i, j), want.Dist(i, j))
+				d := 0
+				if i != j {
+					d = sym(i, j)
+				}
+				if want.Dist(i, j) != d || got.Dist(i, j) != d {
+					t.Fatalf("workers=%d: Dist(%d,%d) = %d, one worker %d, want %d",
+						workers, i, j, got.Dist(i, j), want.Dist(i, j), d)
 				}
 			}
+		}
+		if got.MaxDist() != want.MaxDist() || got.Wide() != want.Wide() {
+			t.Fatalf("workers=%d: MaxDist %d wide %v, one worker %d wide %v",
+				workers, got.MaxDist(), got.Wide(), want.MaxDist(), want.Wide())
 		}
 	}
 }
@@ -321,7 +331,10 @@ func TestBitKernelAllPackedColumns(t *testing.T) {
 			a.Intern(strconv.Itoa(v))
 		}
 	}
-	bit := NewBitKernel(tab)
+	bit, err := NewBitKernelCtx(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mat := NewMatrix(tab)
 	checkKernelsAgree(t, tab, mat, bit, rng)
 }
@@ -344,7 +357,7 @@ func TestKthNearestLargeRangeFallback(t *testing.T) {
 		}
 		return dist(i, j)
 	}
-	mat := NewMatrixFunc(n, sym)
+	mat := funcMatrix(t, n, sym)
 	if mat.maxD <= 8*n+1024 {
 		t.Fatalf("test metric range %d does not exceed the cutoff", mat.maxD)
 	}
@@ -391,7 +404,7 @@ func TestWideMatrixRowFillerAndKthNearest(t *testing.T) {
 		}
 		return big + (i+j)%7
 	}
-	mat := NewMatrixFunc(n, sym)
+	mat := funcMatrix(t, n, sym)
 	if !mat.Wide() {
 		t.Fatal("matrix did not widen past int16")
 	}

@@ -12,10 +12,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
+	"kanon/internal/par"
 	"kanon/internal/relation"
 )
 
@@ -70,110 +69,81 @@ func DiameterRows(rows []relation.Row) int {
 //
 // Storage is int16 (narrow) while every distance fits, which is the
 // common Hamming case (d ≤ m and tables rarely have thousands of
-// columns); the matrix widens to int32 storage when a distance exceeds
-// math.MaxInt16 — tables with m > 32767 columns, or weighted metrics
-// whose column weights sum past int16 — instead of silently
-// overflowing. The widening is transparent to every reader.
+// columns); it is int32 (wide) when a distance exceeds math.MaxInt16
+// — tables with m > 32767 columns, or weighted metrics whose column
+// weights sum past int16 — instead of silently overflowing. The width
+// is transparent to every reader.
 type Matrix struct {
 	n    int
-	d    []int16 // narrow row-major n×n storage; nil once widened
-	wide []int32 // wide storage; nil unless a distance exceeded int16
+	d    []int16 // narrow row-major n×n storage; nil when wide
+	wide []int32 // wide storage; nil unless a distance exceeds int16
 	maxD int     // largest distance stored (counting-sort bucket bound)
 }
 
 // maxNarrow is the largest distance the narrow int16 storage can hold.
 const maxNarrow = math.MaxInt16
 
-// NewMatrixFunc builds a matrix from an arbitrary symmetric distance
+// parallelThreshold is the row count from which the matrix fills fan
+// the O(n²) distance computation out over workers. Below it the
+// goroutine overhead outweighs the work.
+const parallelThreshold = 256
+
+// fillRows runs row(i) for every row i of an n-row matrix on
+// par.Workers(workers, n) workers, one below parallelThreshold rows,
+// and returns the largest distance any row reported. row(i) writes
+// only the cells (i, j) and (j, i) with j > i, so rows fill disjoint
+// cells and the matrix is byte-identical for every worker count. ctx
+// is polled once per row (cheap next to a row's O(n) distances), so a
+// fill on a large table aborts promptly instead of running to
+// completion after its caller gave up; the error then wraps ctx.Err().
+func fillRows(ctx context.Context, n, workers int, row func(i int) int) (int, error) {
+	if n < parallelThreshold {
+		workers = 1
+	}
+	maxes := make([]int, par.Workers(workers, n)) // per worker
+	par.For(n, len(maxes), func(w, i int) {
+		if ctx.Err() != nil {
+			return // drain the remaining rows cheaply; checked below
+		}
+		maxes[w] = max(maxes[w], row(i))
+	})
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("metric: distance matrix: %w", err)
+	}
+	return slices.Max(maxes), nil
+}
+
+// NewMatrixFuncCtx builds a matrix from an arbitrary symmetric distance
 // function over indices 0..n−1. Used by the generalization extension,
 // whose per-cell costs come from hierarchy trees rather than symbol
 // equality, and by the column-weighted metric; any metric works with
-// the cover machinery. Distances that overflow int16 widen the storage;
-// negative or int32-overflowing distances panic (they would corrupt
-// every downstream algorithm silently otherwise).
-func NewMatrixFunc(n int, dist func(i, j int) int) *Matrix {
-	m := &Matrix{n: n, d: make([]int16, n*n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.set(i, j, dist(i, j))
-		}
-	}
-	return m
-}
-
-// NewMatrixFuncCtx is NewMatrixFunc with cancellation and parallelism:
-// the fill polls ctx once per row and shards rows across workers (0 or
-// negative means all CPUs), so the generalization and weighted paths
-// abort as promptly as NewMatrixCtx does. Because an arbitrary metric's
-// range is unknown up front, the fill stages into int32 and narrows to
-// int16 afterwards when every distance fits; the result is identical to
-// NewMatrixFunc for every worker count. A non-nil error wraps
-// ctx.Err().
+// the cover machinery. The fill polls ctx once per row and shards rows
+// across workers (0 or negative means all CPUs, 1 fills sequentially
+// in row order). Because an arbitrary metric's range is unknown up
+// front, the fill stages into int32 and narrows to int16 afterwards
+// when every distance fits; the result is identical for every worker
+// count. Negative or int32-overflowing distances panic (they would
+// corrupt every downstream algorithm silently otherwise). A non-nil
+// error wraps ctx.Err().
 func NewMatrixFuncCtx(ctx context.Context, n, workers int, dist func(i, j int) int) (*Matrix, error) {
 	wide := make([]int32, n*n)
-	var sharedMax atomic.Int64
-	fill := func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		localMax := 0
+	maxD, err := fillRows(ctx, n, workers, func(i int) int {
+		rowMax := 0
 		for j := i + 1; j < n; j++ {
 			v := dist(i, j)
 			if v < 0 || v > math.MaxInt32 {
 				panic(fmt.Sprintf("metric: distance d(%d,%d) = %d outside [0, MaxInt32]", i, j, v))
 			}
-			if v > localMax {
-				localMax = v
-			}
+			rowMax = max(rowMax, v)
 			wide[i*n+j] = int32(v)
 			wide[j*n+i] = int32(v)
 		}
-		for {
-			cur := sharedMax.Load()
-			if int64(localMax) <= cur || sharedMax.CompareAndSwap(cur, int64(localMax)) {
-				return nil
-			}
-		}
+		return rowMax
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	var firstErr error
-	if workers <= 1 || n < parallelThreshold {
-		for i := 0; i < n && firstErr == nil; i++ {
-			firstErr = fill(i)
-		}
-	} else {
-		// Interleave rows across workers like NewMatrixCtx: row i costs
-		// ~(n−i) pairs, so striding balances the load queue-free.
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += workers {
-					if errs[w] = fill(i); errs[w] != nil {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("metric: distance matrix: %w", firstErr)
-	}
-	m := &Matrix{n: n, maxD: int(sharedMax.Load())}
+	m := &Matrix{n: n, maxD: maxD}
 	if m.maxD > maxNarrow {
 		m.wide = wide
 		return m, nil
@@ -185,41 +155,6 @@ func NewMatrixFuncCtx(ctx context.Context, n, workers int, dist func(i, j int) i
 	return m, nil
 }
 
-// set stores d(i, j) = d(j, i) = v, widening the backing array the
-// first time a value exceeds the narrow range.
-func (m *Matrix) set(i, j, v int) {
-	if v < 0 || v > math.MaxInt32 {
-		panic(fmt.Sprintf("metric: distance d(%d,%d) = %d outside [0, MaxInt32]", i, j, v))
-	}
-	if v > m.maxD {
-		m.maxD = v
-	}
-	if m.wide == nil && v > maxNarrow {
-		m.widen()
-	}
-	if m.wide != nil {
-		m.wide[i*m.n+j] = int32(v)
-		m.wide[j*m.n+i] = int32(v)
-		return
-	}
-	m.d[i*m.n+j] = int16(v)
-	m.d[j*m.n+i] = int16(v)
-}
-
-// widen migrates narrow storage to int32 in place.
-func (m *Matrix) widen() {
-	m.wide = make([]int32, len(m.d))
-	for i, v := range m.d {
-		m.wide[i] = int32(v)
-	}
-	m.d = nil
-}
-
-// parallelThreshold is the row count above which NewMatrix fans the
-// O(n²m) distance computation out over all CPUs. Below it the goroutine
-// overhead outweighs the work.
-const parallelThreshold = 256
-
 // NewMatrix computes the full pairwise distance matrix of t over all
 // CPUs: NewMatrixCtx without cancellation, which cannot fail then.
 func NewMatrix(t *relation.Table) *Matrix {
@@ -228,14 +163,11 @@ func NewMatrix(t *relation.Table) *Matrix {
 }
 
 // NewMatrixCtx computes the full pairwise distance matrix of t. Rows
-// are filled across workers (0 or negative means runtime.NumCPU(), 1
-// forces the sequential fill); each worker owns disjoint rows of the
-// output, so it is byte-identical for every worker count. The fill
-// polls ctx once per row (cheap next to a row's O(n·m) distance work),
-// so an O(n²m) fill on a large table aborts promptly instead of
-// running to completion after its caller gave up. A non-nil error
-// wraps ctx.Err(); the partially filled matrix is not returned. The
-// output is unaffected by ctx.
+// are filled across workers (0 or negative means all CPUs, 1 forces
+// the sequential fill); each row owns disjoint cells of the output,
+// so it is byte-identical for every worker count. The fill polls ctx
+// once per row; a non-nil error wraps ctx.Err(), and the partially
+// filled matrix is not returned. The output is unaffected by ctx.
 func NewMatrixCtx(ctx context.Context, t *relation.Table, workers int) (*Matrix, error) {
 	n := t.Len()
 	m := &Matrix{n: n}
@@ -247,71 +179,25 @@ func NewMatrixCtx(ctx context.Context, t *relation.Table, workers int) (*Matrix,
 	} else {
 		m.d = make([]int16, n*n)
 	}
-	var sharedMax atomic.Int64
-	fill := func(lo, hi int) error {
-		localMax := 0
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			ri := t.Row(i)
-			for j := i + 1; j < n; j++ {
-				d := Distance(ri, t.Row(j))
-				if d > localMax {
-					localMax = d
-				}
-				if m.wide != nil {
-					m.wide[i*n+j] = int32(d)
-					m.wide[j*n+i] = int32(d)
-				} else {
-					m.d[i*n+j] = int16(d)
-					m.d[j*n+i] = int16(d)
-				}
+	maxD, err := fillRows(ctx, n, workers, func(i int) int {
+		ri, rowMax := t.Row(i), 0
+		for j := i + 1; j < n; j++ {
+			d := Distance(ri, t.Row(j))
+			rowMax = max(rowMax, d)
+			if m.wide != nil {
+				m.wide[i*n+j] = int32(d)
+				m.wide[j*n+i] = int32(d)
+			} else {
+				m.d[i*n+j] = int16(d)
+				m.d[j*n+i] = int16(d)
 			}
 		}
-		for {
-			cur := sharedMax.Load()
-			if int64(localMax) <= cur || sharedMax.CompareAndSwap(cur, int64(localMax)) {
-				return nil
-			}
-		}
+		return rowMax
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < parallelThreshold {
-		if err := fill(0, n); err != nil {
-			return nil, fmt.Errorf("metric: distance matrix: %w", err)
-		}
-		m.maxD = int(sharedMax.Load())
-		return m, nil
-	}
-	var wg sync.WaitGroup
-	// Row i costs ~(n−i) pairs; interleave rows across workers so the
-	// load balances without a work queue. Workers observe cancellation
-	// independently; first error wins.
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if errs[w] = fill(i, i+1); errs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("metric: distance matrix: %w", err)
-		}
-	}
-	m.maxD = int(sharedMax.Load())
+	m.maxD = maxD
 	return m, nil
 }
 

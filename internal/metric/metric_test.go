@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -260,7 +261,7 @@ func TestMatrixFuncWidensPastInt16(t *testing.T) {
 		}
 		return 40000 + (i+j)*1000
 	}
-	m := NewMatrixFunc(n, dist)
+	m := funcMatrix(t, n, dist)
 	if !m.Wide() {
 		t.Fatal("matrix with distances > MaxInt16 did not widen")
 	}
@@ -285,7 +286,7 @@ func TestMatrixFuncWidensPastInt16(t *testing.T) {
 }
 
 func TestMatrixFuncNarrowStaysNarrow(t *testing.T) {
-	m := NewMatrixFunc(4, func(i, j int) int { return i + j })
+	m := funcMatrix(t, 4, func(i, j int) int { return i + j })
 	if m.Wide() {
 		t.Fatal("small distances should keep int16 storage")
 	}
@@ -300,7 +301,19 @@ func TestMatrixFuncNegativeDistancePanics(t *testing.T) {
 			t.Fatal("negative distance did not panic")
 		}
 	}()
-	NewMatrixFunc(3, func(i, j int) int { return -1 })
+	funcMatrix(t, 3, func(i, j int) int { return -1 })
+}
+
+// funcMatrix is NewMatrixFuncCtx on one worker, the sequential fill,
+// which runs on the calling goroutine (so a panicking distance can be
+// recovered).
+func funcMatrix(t *testing.T, n int, dist func(i, j int) int) *Matrix {
+	t.Helper()
+	m, err := NewMatrixFuncCtx(context.Background(), n, 1, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestMatrixWideTableGuard(t *testing.T) {
@@ -355,7 +368,7 @@ func TestNewMatrixWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 3, 8} {
+	for _, workers := range []int{0, 2, 3, 8, math.MaxInt} {
 		m, err := NewMatrixCtx(context.Background(), tab, workers)
 		if err != nil {
 			t.Fatal(err)

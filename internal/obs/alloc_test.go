@@ -22,8 +22,6 @@ func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 		ev.RunStart("a", 1, 2, 3)
 		ev.PhaseStart("p")
 		ev.PhaseDone("p", time.Millisecond)
-		ev.WorkerStart("w", 1)
-		ev.WorkerDone("w", 1, time.Millisecond)
 		ev.Anomaly("k", 7)
 		ev.RunDone(0, time.Millisecond)
 	})

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Events is the structured event log of one run: phase boundaries,
-// worker lifecycle, and anomalies, emitted through a caller-supplied
+// Events is the structured event log of one run: run and phase
+// boundaries and anomalies, emitted through a caller-supplied
 // *slog.Logger (typically a JSON handler) with the run ID attached to
 // every record. It complements the tracer — spans measure, events
 // narrate — and follows the same contract: a nil *Events is disabled,
@@ -88,24 +88,6 @@ func (e *Events) PhaseDone(phase string, d time.Duration) {
 	}
 	e.l.LogAttrs(context.Background(), slog.LevelInfo, "phase_done",
 		slog.String("phase", phase), slog.Duration("wall", d))
-}
-
-// WorkerStart records a pool worker spinning up.
-func (e *Events) WorkerStart(pool string, id int) {
-	if e == nil {
-		return
-	}
-	e.l.LogAttrs(context.Background(), slog.LevelDebug, "worker_start",
-		slog.String("pool", pool), slog.Int("worker", id))
-}
-
-// WorkerDone records a pool worker exiting with its busy time.
-func (e *Events) WorkerDone(pool string, id int, busy time.Duration) {
-	if e == nil {
-		return
-	}
-	e.l.LogAttrs(context.Background(), slog.LevelDebug, "worker_done",
-		slog.String("pool", pool), slog.Int("worker", id), slog.Duration("busy", busy))
 }
 
 // Anomaly records an unusual-but-handled condition (matrix widening,

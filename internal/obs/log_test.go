@@ -20,17 +20,15 @@ func TestEventsJSON(t *testing.T) {
 	ev.RunStart("greedy-ball", 100, 8, 3)
 	ev.PhaseStart("matrix")
 	ev.PhaseDone("matrix", 5*time.Millisecond)
-	ev.WorkerStart("stream", 2)
-	ev.WorkerDone("stream", 2, time.Millisecond)
 	ev.Anomaly("matrix_widened", 70000)
 	ev.RunError(errors.New("boom"))
 	ev.RunDone(42, 10*time.Millisecond)
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d event lines, want 8:\n%s", len(lines), buf.String())
+	if len(lines) != 6 {
+		t.Fatalf("got %d event lines, want 6:\n%s", len(lines), buf.String())
 	}
-	wantMsg := []string{"run_start", "phase_start", "phase_done", "worker_start", "worker_done", "anomaly", "run_error", "run_done"}
+	wantMsg := []string{"run_start", "phase_start", "phase_done", "anomaly", "run_error", "run_done"}
 	for i, line := range lines {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -49,9 +47,9 @@ func TestEventsJSON(t *testing.T) {
 		t.Errorf("run_start fields wrong: %s", lines[0])
 	}
 	var anomaly map[string]any
-	_ = json.Unmarshal([]byte(lines[5]), &anomaly)
+	_ = json.Unmarshal([]byte(lines[3]), &anomaly)
 	if anomaly["kind"] != "matrix_widened" || anomaly["magnitude"] != float64(70000) || anomaly["level"] != "WARN" {
-		t.Errorf("anomaly fields wrong: %s", lines[5])
+		t.Errorf("anomaly fields wrong: %s", lines[3])
 	}
 }
 
@@ -69,8 +67,6 @@ func TestEventsNilSafety(t *testing.T) {
 	ev.RunError(errors.New("x"))
 	ev.PhaseStart("p")
 	ev.PhaseDone("p", 0)
-	ev.WorkerStart("w", 0)
-	ev.WorkerDone("w", 0, 0)
 	ev.Anomaly("k", 1)
 	// RunError with nil error is a no-op even on live events.
 	var buf bytes.Buffer

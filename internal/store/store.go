@@ -296,32 +296,6 @@ func (c *Checkpoint) Load(lo, hi int) (rows [][]string, stat *stream.BlockStat, 
 	return rows, &st, true, nil
 }
 
-// Blocks lists the committed checkpoints (stats only), in row order —
-// observability and test surface, not used by the resume path.
-func (c *Checkpoint) Blocks() ([]stream.BlockStat, error) {
-	entries, err := c.be.List(c.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var stats []stream.BlockStat
-	for _, e := range entries {
-		if e.Dir || path.Ext(e.Name) != ".json" {
-			continue
-		}
-		b, err := c.be.ReadFile(path.Join(c.dir, e.Name))
-		if err != nil {
-			continue
-		}
-		var st stream.BlockStat
-		if json.Unmarshal(b, &st) != nil {
-			continue
-		}
-		stats = append(stats, st)
-	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Lo < stats[j].Lo })
-	return stats, nil
-}
-
 // writeCSV spools a header+rows table through the shared codec, then
 // commits it atomically.
 func (s *Store) writeCSV(rel string, header []string, rows [][]string) error {

@@ -310,16 +310,15 @@ func TestCheckpointSaveLoadBlocks(t *testing.T) {
 		t.Errorf("rows = %v", got)
 	}
 
-	// A second block, then the in-order listing.
+	// A second block leaves the first one loadable.
 	if err := ck.Save(stream.BlockStat{Lo: 2, Hi: 5, Cost: 3}, [][]string{{"5", "6"}, {"7", "8"}, {"9", "0"}}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ck.Blocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 || stats[0].Lo != 0 || stats[1].Lo != 2 {
-		t.Errorf("Blocks = %+v", stats)
+	for _, b := range []stream.BlockStat{{Lo: 0, Hi: 2, Cost: 1}, {Lo: 2, Hi: 5, Cost: 3}} {
+		rows, st, ok, err := ck.Load(b.Lo, b.Hi)
+		if err != nil || !ok || len(rows) != b.Hi-b.Lo || st.Lo != b.Lo || st.Hi != b.Hi || st.Cost != b.Cost {
+			t.Errorf("Load(%d, %d) = %d rows, %+v, ok=%v, err=%v", b.Lo, b.Hi, len(rows), st, ok, err)
+		}
 	}
 }
 

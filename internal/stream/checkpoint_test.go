@@ -9,7 +9,6 @@ import (
 
 	"kanon/internal/algo"
 	"kanon/internal/dataset"
-	"kanon/internal/refine"
 	"kanon/internal/relation"
 )
 
@@ -227,32 +226,4 @@ func (failingSink) Load(lo, hi int) ([][]string, *BlockStat, bool, error) {
 }
 func (failingSink) Save(stat BlockStat, rows [][]string) error {
 	return fmt.Errorf("disk full")
-}
-
-// TestRefineOptsPassthrough: stream.Options.RefineOpts reaches the
-// per-block local search — MaxRounds bounds the rounds, NoDissolve
-// zeroes the dissolve count — and nil keeps the historical defaults.
-func TestRefineOptsPassthrough(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	tab := dataset.Census(rng, 160, 6)
-	res, err := Anonymize(tab, 3, &Options{BlockRows: 40, Workers: 1, Refine: true,
-		RefineOpts: &refine.Options{MaxRounds: 1, NoDissolve: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi, bs := range res.BlockStats {
-		if bs.Refine == nil {
-			t.Fatalf("block %d missing refine stats", bi)
-		}
-		if bs.Refine.Rounds > 1 {
-			t.Errorf("block %d ran %d rounds with MaxRounds: 1", bi, bs.Refine.Rounds)
-		}
-		if bs.Refine.Dissolves != 0 {
-			t.Errorf("block %d dissolved %d groups with NoDissolve", bi, bs.Refine.Dissolves)
-		}
-	}
-	// The bounded search must still be a valid (never-worse) refinement.
-	if !res.Anonymized.IsKAnonymous(3) {
-		t.Error("output not 3-anonymous")
-	}
 }

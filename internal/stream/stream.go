@@ -6,9 +6,9 @@
 // only offer the greedy more grouping options — which the tests verify
 // on fixed corpora, making block size a pure memory/quality dial.
 //
-// Blocks are independent, so they are anonymized concurrently through a
-// bounded worker pool and reassembled in input order; the released
-// table is byte-identical for every worker count.
+// Blocks are independent, so they are anonymized concurrently on the
+// par index pool and reassembled in input order; the released table is
+// byte-identical for every worker count.
 //
 // This is a systems extension, not part of the paper; it is what makes
 // the Theorem 4.2 algorithm deployable on inputs where even the O(n²)
@@ -18,14 +18,12 @@ package stream
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kanon/internal/algo"
 	"kanon/internal/metric"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 	"kanon/internal/refine"
 	"kanon/internal/relation"
 )
@@ -42,11 +40,6 @@ type Options struct {
 	BlockRows int
 	// Refine applies cost-direct local search inside each block.
 	Refine bool
-	// RefineOpts tunes the per-block local search when Refine is set
-	// (MaxRounds, NoDissolve); nil runs the defaults, preserving the
-	// historical behavior. The pass's Ctx is threaded into the search
-	// regardless, overriding any Ctx set here.
-	RefineOpts *refine.Options
 	// Checkpoint, when non-nil, persists every completed block (its
 	// anonymized rows and BlockStat) and lets an interrupted pass
 	// resume: blocks the sink already holds are loaded instead of
@@ -56,9 +49,11 @@ type Options struct {
 	// whose shape does not match its block (changed parameters, torn
 	// write) is ignored and the block is recomputed.
 	Checkpoint Checkpoint
-	// Workers bounds how many blocks are anonymized concurrently: 0 (or
-	// negative) means runtime.NumCPU(), 1 forces the sequential path.
-	// Output and errors are identical for every worker count.
+	// Workers bounds how many blocks are anonymized concurrently, as
+	// par.Workers resolves it: 0 (or negative) means all CPUs, counts
+	// are clamped to GOMAXPROCS and to the block count, and 1 forces
+	// the sequential path. Output and errors are identical for every
+	// worker count.
 	Workers int
 	// Kernel selects the distance-kernel backend of the default
 	// per-block algorithm (metric.Auto, Dense, or Bitset); ignored when
@@ -74,8 +69,8 @@ type Options struct {
 	// histograms, and a blocks-completed progress instrument. Nil
 	// disables it; the release is byte-identical either way.
 	Trace *obs.Span
-	// Log receives structured events: block-size raises, worker
-	// lifecycle. Nil (the default) is silent; events never steer the
+	// Log receives structured events: block-size raises and invalid
+	// checkpoints. Nil (the default) is silent; events never steer the
 	// computation.
 	Log *obs.Events
 }
@@ -190,13 +185,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		}
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(bounds) {
-		workers = len(bounds)
-	}
+	workers := par.Workers(opt.Workers, len(bounds))
 
 	// Instrumentation: a "stream" span over the whole pass, one child
 	// span per block (opened by whichever worker claims it), a gauge for
@@ -225,7 +214,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		}()
 	}
 
-	process := func(bi int) {
+	par.For(len(bounds), workers, func(_, bi int) {
 		if results[bi].resumed {
 			return
 		}
@@ -266,13 +255,8 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		}
 		stat := BlockStat{Lo: lo, Hi: hi}
 		if opt.Refine {
-			ro := refine.Options{}
-			if opt.RefineOpts != nil {
-				ro = *opt.RefineOpts
-			}
-			ro.Ctx = ctx
 			rs := bs.Start("refine")
-			st, err := refine.Partition(sub, r.Partition, k, &ro)
+			st, err := refine.Partition(sub, r.Partition, k, &refine.Options{Ctx: ctx})
 			rs.End()
 			if err != nil {
 				errs[bi] = fmt.Errorf("stream: refining block [%d,%d): %w", lo, hi, err)
@@ -295,38 +279,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 			}
 		}
 		results[bi] = blockResult{anon: anon, stat: stat}
-	}
-	if workers <= 1 {
-		for bi := range bounds {
-			process(bi)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				opt.Log.WorkerStart("stream", w)
-				var workerBusy time.Duration
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= len(bounds) {
-						opt.Log.WorkerDone("stream", w, workerBusy)
-						return
-					}
-					if opt.Log.Enabled() {
-						s := time.Now()
-						process(bi)
-						workerBusy += time.Since(s)
-					} else {
-						process(bi)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 	// Deterministic error propagation: the lowest-index failing block
 	// wins, matching what the sequential loop would have reported.
 	for _, err := range errs {

@@ -3,7 +3,10 @@ package stream
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"kanon/internal/algo"
 	"kanon/internal/dataset"
@@ -214,6 +217,49 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStreamHugeWorkerCount passes a worker count nothing caps, as a
+// caller's -workers flag or workers= query can: the pass must run at
+// most GOMAXPROCS blocks at once, not one block (with its distance
+// matrix and cover) per requested worker, and release what one worker
+// does.
+func TestStreamHugeWorkerCount(t *testing.T) {
+	tab := dataset.Census(rand.New(rand.NewSource(41)), 64*16, 6)
+	var inFlight, peak atomic.Int64
+	run := func(workers int) *Result {
+		res, err := Anonymize(tab, 3, &Options{BlockRows: 16, Workers: workers,
+			Algo: func(bt *relation.Table, k int) (*algo.Result, error) {
+				now := inFlight.Add(1)
+				defer inFlight.Add(-1)
+				for {
+					p := peak.Load()
+					if now <= p || peak.CompareAndSwap(p, now) {
+						break
+					}
+				}
+				// Hold the block long enough that blocks a pool runs
+				// together overlap here.
+				time.Sleep(time.Millisecond)
+				return algo.GreedyBall(bt, k, &algo.Options{Workers: 1})
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(1)
+	peak.Store(0)
+	got := run(1 << 20)
+	if got.Blocks < 64 {
+		t.Fatalf("%d blocks, want at least 64", got.Blocks)
+	}
+	if p, procs := peak.Load(), runtime.GOMAXPROCS(0); p > int64(procs) {
+		t.Errorf("%d blocks ran at once, GOMAXPROCS is %d", p, procs)
+	}
+	if got.Cost != want.Cost || got.Anonymized.String() != want.Anonymized.String() {
+		t.Errorf("Workers: 1<<20 released cost %d, Workers: 1 cost %d, or the rows differ", got.Cost, want.Cost)
 	}
 }
 

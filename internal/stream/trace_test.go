@@ -8,6 +8,7 @@ import (
 
 	"kanon/internal/dataset"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 	"kanon/internal/relation"
 )
 
@@ -57,8 +58,8 @@ func TestTraceDoesNotChangeRelease(t *testing.T) {
 			if snap.Counters["stream.wall_ns"] <= 0 {
 				t.Error("no pass wall time recorded")
 			}
-			if got := snap.Gauges["stream.workers"].Last; got != int64(workers) {
-				t.Errorf("workers gauge = %d, want %d", got, workers)
+			if got, want := snap.Gauges["stream.workers"].Last, par.Workers(workers, traced.Blocks); got != int64(want) {
+				t.Errorf("workers gauge = %d, want %d", got, want)
 			}
 		})
 	}

@@ -233,10 +233,6 @@ type Options struct {
 	// improve, and by AlgoHierarchy, whose generalized release has no
 	// partition to refine.
 	Refine bool
-	// RefineOpts tunes the Refine local search (rounds cap, move set);
-	// nil runs the defaults. The call's context is threaded into the
-	// search regardless, so a cancelled run aborts mid-refine too.
-	RefineOpts *refine.Options
 	// ColumnWeights prices each column's suppressed entries (nil means
 	// all 1, the paper's objective). Honored by AlgoGreedyBall (the
 	// weighted metric drives grouping, TrueDiameterWeights included)
@@ -415,13 +411,8 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("kanon: %w", err)
 		}
-		ro := refine.Options{}
-		if opts.RefineOpts != nil {
-			ro = *opts.RefineOpts
-		}
-		ro.Ctx = ctx
 		rs := root.Start("kanon.refine")
-		_, err := refine.Partition(t, p, k, &ro)
+		_, err := refine.Partition(t, p, k, &refine.Options{Ctx: ctx})
 		rs.End()
 		if err != nil {
 			return nil, fmt.Errorf("kanon: refining: %w", err)
@@ -469,9 +460,9 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 // in independent blocks of at most blockRows, each with the Theorem 4.2
 // greedy, and adapts the release to a Result whose groups are the
 // released table's textual equivalence classes. Of opts only Kernel,
-// Refine, Workers, Span and Log apply; a non-ball Algorithm,
+// Refine, Workers, Trace, Span and Log apply; a non-ball Algorithm,
 // ColumnWeights, Hierarchy or MaxSuppress is an error rather than
-// silently ignored.
+// silently ignored. The Result is priced like AnonymizeContext's.
 //
 // A non-nil ckpt makes the pass durable and resumable: each finished
 // block is spooled, and blocks a prior (crashed) run finished are
@@ -492,6 +483,14 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 	if err != nil {
 		return nil, 0, err
 	}
+	// As in AnonymizeContext, an external span takes precedence and
+	// Result.Stats then stays nil.
+	trace := opts.Span
+	var tr *obs.Tracer
+	if trace == nil && opts.Trace {
+		tr = obs.New()
+		trace = tr.Start("anonymize")
+	}
 	sr, err := stream.Anonymize(t, k, &stream.Options{
 		Ctx:        ctx,
 		BlockRows:  blockRows,
@@ -499,7 +498,7 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 		Workers:    opts.Workers,
 		Kernel:     opts.Kernel.choice(),
 		Checkpoint: ckpt,
-		Trace:      opts.Span,
+		Trace:      trace,
 		Log:        obs.NewEvents(opts.Log, obs.NewRunID()),
 	})
 	if err != nil {
@@ -511,12 +510,23 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 	}
 	groups := core.FromAnonymized(sr.Anonymized)
 	groups.Normalize()
+	var stats *Stats
+	if tr != nil {
+		trace.End()
+		stats = tr.Snapshot()
+	}
+	// The blocks' costs count suppressor mask bits, which include
+	// entries the input already starred; the Result counts the star
+	// delta. Column weights are refused above, so WeightedCost = Cost.
+	cost := sr.Anonymized.TotalStars() - t.TotalStars()
 	return &Result{
-		K:      k,
-		Header: append([]string(nil), header...),
-		Rows:   out,
-		Groups: groups.Groups,
-		Cost:   sr.Cost,
+		K:            k,
+		Header:       append([]string(nil), header...),
+		Rows:         out,
+		Groups:       groups.Groups,
+		Cost:         cost,
+		WeightedCost: cost,
+		Stats:        stats,
 	}, sr.BlocksResumed, nil
 }
 

@@ -132,6 +132,43 @@ func TestAnonymizeBlocksRefusesUnhonoredOptions(t *testing.T) {
 	}
 }
 
+// TestAnonymizeBlocksKeepsResultContract: the block path prices its
+// release like AnonymizeContext, as the star delta against the input
+// (entries the input already starred are not newly suppressed), and
+// returns Stats when Trace is set.
+func TestAnonymizeBlocksKeepsResultContract(t *testing.T) {
+	header := []string{"a", "b", "c"}
+	rows := [][]string{
+		{"1", "1", "1"},
+		{"1", Star, "2"},
+		{"1", "2", "1"},
+		{"2", "2", "2"},
+		{"2", "1", Star},
+		{"2", "2", "1"},
+	}
+	whole, err := AnonymizeContext(context.Background(), header, rows, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := AnonymizeBlocks(context.Background(), header, rows, 3, 6, &Options{Trace: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Rows) != fmt.Sprint(whole.Rows) {
+		t.Fatalf("one block released %v, the whole table %v", got.Rows, whole.Rows)
+	}
+	if want := Cost(got.Rows) - Cost(rows); got.Cost != want || got.Cost != whole.Cost || got.WeightedCost != want {
+		t.Errorf("Cost %d, WeightedCost %d; want the star delta %d (AnonymizeContext: %d)",
+			got.Cost, got.WeightedCost, want, whole.Cost)
+	}
+	if got.Stats == nil || len(got.Stats.Spans) == 0 {
+		t.Fatalf("Trace set but Stats = %+v", got.Stats)
+	}
+	if done := got.Stats.Counters["stream.blocks_done"]; done != 1 {
+		t.Errorf("stream.blocks_done = %d, want 1", done)
+	}
+}
+
 func TestVerify(t *testing.T) {
 	ok, err := Verify(exampleHeader, exampleRows, 2)
 	if err != nil {

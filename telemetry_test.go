@@ -21,6 +21,7 @@ import (
 
 	"kanon"
 	"kanon/internal/obs"
+	"kanon/internal/par"
 	"kanon/internal/relation"
 	"kanon/internal/stream"
 )
@@ -76,8 +77,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 }
 
 // TestStreamTelemetryDeterminism covers the worker-pool path: block
-// histograms, progress, and worker lifecycle events must not perturb
-// the streamed release.
+// histograms, progress, and the event log must not perturb the
+// streamed release.
 func TestStreamTelemetryDeterminism(t *testing.T) {
 	tbl := genStreamTable(t, 300, 4, 11)
 	base, err := stream.Anonymize(tbl, 3, &stream.Options{BlockRows: 64, Workers: 1})
@@ -113,9 +114,6 @@ func TestStreamTelemetryDeterminism(t *testing.T) {
 		if !ok || p.Done != int64(res.Blocks) || p.Total != int64(res.Blocks) {
 			t.Errorf("workers=%d: progress = %+v, want %d/%d", workers, p, res.Blocks, res.Blocks)
 		}
-		if workers > 1 && !strings.Contains(logBuf.String(), `"msg":"worker_start"`) {
-			t.Errorf("workers=%d: no worker lifecycle events:\n%s", workers, logBuf.String())
-		}
 	}
 }
 
@@ -127,7 +125,8 @@ func TestMetricsFromRealRun(t *testing.T) {
 	tbl := genStreamTable(t, 300, 4, 13)
 	tr := obs.New()
 	root := tr.Start("run")
-	if _, err := stream.Anonymize(tbl, 3, &stream.Options{BlockRows: 64, Workers: 2, Trace: root}); err != nil {
+	res, err := stream.Anonymize(tbl, 3, &stream.Options{BlockRows: 64, Workers: 2, Trace: root})
+	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -154,7 +153,7 @@ func TestMetricsFromRealRun(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE kanon_stream_blocks_done_total counter",
 		"# TYPE kanon_stream_workers gauge",
-		"kanon_stream_workers 2",
+		fmt.Sprintf("kanon_stream_workers %d", par.Workers(2, res.Blocks)),
 		"# TYPE kanon_stream_block_ns histogram",
 		`le="+Inf"`,
 		`kanon_progress_done{task="stream.blocks"}`,
