@@ -8,11 +8,13 @@
 // JSON or CSV sidecar, or derived from the data); Compile turns it
 // into constant-time code lookup tables. A CountTree over the distinct
 // base tuples checks any lattice node in one O(distinct·m) walk
-// without materializing the generalized table. Search enumerates the
-// generalization lattice with OLA-style predictive tagging (or a
-// greedy beam when the lattice is huge) for the minimum-NCP
-// k-anonymous cut. Solve glues them together and materializes the
-// winning release.
+// without materializing the generalized table. Search finds the
+// minimum-NCP k-anonymous cut of the generalization lattice by branch
+// and bound: a greedy descent from the root sets an incumbent, and a
+// top-down sweep walks only the nodes that neither OLA-style
+// predictive tags nor a per-column NCP lower bound settle (a greedy
+// beam answers when the lattice is huge). Solve glues them together
+// and materializes the winning release.
 package hierarchy
 
 import (
@@ -124,6 +126,7 @@ func Solve(t *relation.Table, k int, opt *Options) (*Result, error) {
 	opt.Trace.Counter("hierarchy.tags_anonymous").Add(int64(sr.TagsAnonymous))
 	opt.Trace.Counter("hierarchy.tags_failing").Add(int64(sr.TagsFailing))
 	opt.Trace.Counter("hierarchy.tag_hits").Add(int64(sr.TagHits))
+	opt.Trace.Counter("hierarchy.nodes_pruned").Add(int64(sr.Pruned))
 
 	sp = opt.Trace.Start("hierarchy.materialize")
 	res := materialize(t, cols, k, sr)

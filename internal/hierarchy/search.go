@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -54,8 +55,9 @@ type SearchResult struct {
 	LatticeNodes int64
 	// Walked counts count-tree walks performed; TagsAnonymous and
 	// TagsFailing count predictive tags applied; TagHits counts walks
-	// avoided because a tag already decided the node.
-	Walked, TagsAnonymous, TagsFailing, TagHits int
+	// avoided because a tag already decided the node; Pruned counts
+	// nodes the NCP lower bound settled without a walk.
+	Walked, TagsAnonymous, TagsFailing, TagHits, Pruned int
 }
 
 // ErrNoCut reports that no lattice node is k-anonymous within the
@@ -65,12 +67,15 @@ var ErrNoCut = fmt.Errorf("hierarchy: no k-anonymous generalization within the s
 
 // Search finds the minimum-NCP k-anonymous node of the generalization
 // lattice over the count tree's columns. Lattices up to MaxNodes are
-// enumerated exactly with OLA-style predictive tagging: a binary
-// search on lattice height first brackets the lowest anonymous height
-// (anonymous nodes tag all their ancestors anonymous, failing nodes
-// tag all their descendants failing), then a bottom-up sweep over the
-// remaining heights walks only untagged nodes. Larger lattices use a
-// deterministic greedy beam from the bottom of the lattice.
+// solved exactly by branch and bound with OLA-style predictive tagging
+// (anonymous nodes tag all their ancestors anonymous, failing nodes tag
+// all their descendants failing). A greedy descent from the root to the
+// best anonymous child, step by step, sets the first incumbent; then a
+// top-down sweep, one batch per height, walks every node that is not
+// yet walked, not tagged failing, and whose NCP lower bound (its cells'
+// penalty with nothing suppressed) does not exceed the incumbent's NCP.
+// Larger lattices use a deterministic greedy beam from the bottom of
+// the lattice.
 func Search(ct *CountTree, k, maxSup int, opts *SearchOptions) (*SearchResult, error) {
 	if opts == nil {
 		opts = &SearchOptions{}
@@ -122,6 +127,7 @@ func Search(ct *CountTree, k, maxSup int, opts *SearchOptions) (*SearchResult, e
 	res.TagsAnonymous = e.tagsAnon
 	res.TagsFailing = e.tagsFail
 	res.TagHits = e.tagHits
+	res.Pruned = e.pruned
 	return res, nil
 }
 
@@ -152,13 +158,11 @@ type engine struct {
 	// exhaustive-engine state, indexed by mixed-radix rank.
 	status   []uint8
 	walkedAt []bool
-	ncp      []float64
-	supp     []int32
 	// The tagging passes' reusable DFS stack and level vector.
 	tagStack  []int
 	tagLevels []int
 
-	walked, tagsAnon, tagsFail, tagHits int
+	walked, tagsAnon, tagsFail, tagHits, pruned int
 }
 
 // levelsOf decodes a mixed-radix rank into per-column levels.
@@ -171,15 +175,6 @@ func (e *engine) levelsOf(rank int, out []int) []int {
 		rank /= e.dims[j]
 	}
 	return out
-}
-
-// rankOf encodes per-column levels into a rank.
-func (e *engine) rankOf(levels []int) int {
-	r := 0
-	for j, l := range levels {
-		r = r*e.dims[j] + l
-	}
-	return r
 }
 
 // walkRes is one count-tree walk's outcome.
@@ -279,8 +274,6 @@ func (e *engine) applyWalk(rank int, r walkRes) {
 	e.walkedAt[rank] = true
 	if r.ok {
 		e.status[rank] = stAnon
-		e.ncp[rank] = r.ncp
-		e.supp[rank] = int32(r.suppressed)
 		e.tagAnonAncestors(rank)
 	} else {
 		e.status[rank] = stFail
@@ -304,20 +297,93 @@ func better(ncp float64, levels []int, bestNCP float64, bestLevels []int) bool {
 	return false
 }
 
-// exhaustive enumerates the whole lattice with predictive tagging.
+// boundSlack is how far a node's NCP lower bound must exceed the
+// incumbent's NCP before the bound prunes the node. The bound and a
+// walk add the same cell penalties in different orders, so an exact tie
+// can differ by rounding; the slack keeps such a node walked, and
+// better breaks the tie.
+const boundSlack = 1e-9
+
+// ncpBound is the exhaustive engine's lower bound on a node's NCP.
+// sums[j][l] is column j's cell penalty at level l summed over every
+// row, so at(L) = Σ_j sums[j][L_j] / (n·m) is node L's NCP with nothing
+// suppressed. A walk charges a kept row exactly its cells and a
+// suppressed row m, which is at least its cells because no cell
+// penalty exceeds 1, so at(L) never exceeds L's NCP. No cell penalty
+// falls as a level rises, so at never falls from a node to its parent.
+type ncpBound struct {
+	sums  [][]float64
+	denom float64 // n·m; 0 for an empty tree, whose bound is 0
+}
+
+// newNCPBound sums each column's cell penalties over the count tree's
+// depth-j codes, each weighted by the rows beneath it. Starred cells
+// pay the root's penalty at every level, as the walk charges them.
+func newNCPBound(ct *CountTree) *ncpBound {
+	m := len(ct.codes)
+	b := &ncpBound{sums: make([][]float64, m)}
+	if ct.n == 0 || m == 0 {
+		return b
+	}
+	b.denom = float64(ct.n) * float64(m)
+	// rows[i] counts the table rows under the i-th trie node of the
+	// current depth, folded up from the leaves' multiplicities.
+	rows := ct.counts
+	for d := m - 1; d >= 0; d-- {
+		col, codes := ct.cols[d], ct.codes[d]
+		b.sums[d] = make([]float64, col.Height+1)
+		for l := range b.sums[d] {
+			for i, c := range codes {
+				b.sums[d][l] += float64(rows[i]) * col.NCP(l, col.Code(l, c))
+			}
+		}
+		if d > 0 {
+			span := ct.span[d-1]
+			up := make([]int32, len(ct.codes[d-1]))
+			for i := range up {
+				for c := span[i]; c < span[i+1]; c++ {
+					up[i] += rows[c]
+				}
+			}
+			rows = up
+		}
+	}
+	return b
+}
+
+// at is the bound at one lattice node.
+func (b *ncpBound) at(levels []int) float64 {
+	if b.denom == 0 {
+		return 0
+	}
+	s := 0.0
+	for j, l := range levels {
+		s += b.sums[j][l]
+	}
+	return s / b.denom
+}
+
+// exhaustive finds the minimum-NCP anonymous node of the whole lattice
+// by branch and bound: a greedy descent from the root sets the first
+// incumbent, then a top-down sweep walks every node that no walk, tag
+// or bound has settled.
 func (e *engine) exhaustive(total int) (*SearchResult, error) {
 	m := len(e.dims)
 	e.status = make([]uint8, total)
 	e.walkedAt = make([]bool, total)
-	e.ncp = make([]float64, total)
-	e.supp = make([]int32, total)
 	e.tagLevels = make([]int, m)
+	bound := newNCPBound(e.ct)
+	// stride[j] is the rank distance between a node and its child one
+	// level lower in column j.
+	stride := make([]int, m)
 	hmax := 0
-	for _, d := range e.dims {
-		hmax += d - 1
+	for j, s := m-1, 1; j >= 0; j-- {
+		stride[j] = s
+		s *= e.dims[j]
+		hmax += e.dims[j] - 1
 	}
-	// Bucket ranks by lattice height once; sweep and binary search both
-	// iterate heights in ascending rank order for determinism.
+	// Bucket ranks by lattice height once; the sweep takes each height
+	// in ascending rank order for determinism.
 	heights := make([][]int, hmax+1)
 	levels := make([]int, m)
 	for r := 0; r < total; r++ {
@@ -328,122 +394,93 @@ func (e *engine) exhaustive(total int) (*SearchResult, error) {
 		heights[h] = append(heights[h], r)
 	}
 
+	var bestLevels []int
+	var bestNCP float64
+	var bestSup int
+	// walk checks one batch of ranks and applies the results in rank
+	// order, so tags, the incumbent and the counters are the same for
+	// every worker count. Every anonymous node walked is a candidate.
+	walk := func(ranks []int) ([]walkRes, error) {
+		rs, err := e.walkRanks(ranks)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range ranks {
+			e.applyWalk(r, rs[i])
+			if lv := e.levelsOf(r, levels); rs[i].ok && better(rs[i].ncp, lv, bestNCP, bestLevels) {
+				bestLevels, bestNCP, bestSup = slices.Clone(lv), rs[i].ncp, rs[i].suppressed
+			}
+		}
+		return rs, nil
+	}
+
 	// The root must be anonymous for any cut to exist (anonymity is
 	// monotone up the lattice); bail out early when it isn't.
 	top := total - 1
-	rs, err := e.walkRanks([]int{top})
-	if err != nil {
+	if _, err := walk([]int{top}); err != nil {
 		return nil, err
 	}
-	e.applyWalk(top, rs[0])
 	if e.status[top] != stAnon {
 		return nil, ErrNoCut
 	}
 
-	// Phase 1: binary search the lowest height that contains an
-	// anonymous node. P(h) = "some node at height h is anonymous" is
-	// monotone in h because every anonymous node tags its parents.
-	sp := e.sp.Start("hierarchy.search.bracket")
-	lo, hi := 0, hmax
-	for lo < hi {
-		mid := (lo + hi) / 2
-		anyAnon := false
-		var unknown []int
-		for _, r := range heights[mid] {
-			switch e.status[r] {
-			case stAnon:
-				anyAnon = true
-				e.tagHits++
-			case stFail:
-				e.tagHits++
-			default:
-				unknown = append(unknown, r)
-			}
-			if anyAnon {
-				break
+	// Descent: walk the current node's unwalked, non-failing children
+	// as one batch and step to the anonymous child better ranks first,
+	// until no child is anonymous. Children are listed in ascending
+	// rank, which is lexicographic level order, so the first child of
+	// least NCP is that one.
+	sp := e.sp.Start("hierarchy.search.descent")
+	var children []int
+	for cur := top; cur >= 0; {
+		e.levelsOf(cur, levels)
+		children = children[:0]
+		for j, l := range levels {
+			if c := cur - stride[j]; l > 0 && !e.walkedAt[c] && e.status[c] != stFail {
+				children = append(children, c)
 			}
 		}
-		if !anyAnon {
-			rs, err := e.walkRanks(unknown)
-			if err != nil {
-				sp.End()
-				return nil, err
-			}
-			for i, r := range unknown {
-				e.applyWalk(r, rs[i])
-				if rs[i].ok {
-					anyAnon = true
-				}
-			}
+		rs, err := walk(children)
+		if err != nil {
+			sp.End()
+			return nil, err
 		}
-		if anyAnon {
-			hi = mid
-		} else {
-			lo = mid + 1
+		cur = -1
+		var curNCP float64
+		for i, c := range children {
+			if rs[i].ok && (cur < 0 || rs[i].ncp < curNCP) {
+				cur, curNCP = c, rs[i].ncp
+			}
 		}
 	}
 	sp.End()
 
-	// Phase 2: sweep heights lo..hmax. With no suppression budget NCP
-	// is monotone along chains, so tagged-anonymous nodes (which have
-	// an anonymous child) can never beat a walked node and are pruned;
-	// the sweep also stops at the first all-anonymous height. With a
-	// budget, suppressed rows trade against generalization, so every
-	// non-failing node is scored.
+	// Sweep: from the top height down, walk each height's undecided
+	// nodes as one batch. A node is settled without a walk only when it
+	// is tagged failing (failing nodes tag their whole down-set) or its
+	// lower bound exceeds the incumbent's NCP, so the result is the
+	// (NCP, lex levels) minimum over all anonymous nodes, as scoring
+	// every node gives. Tagged-anonymous nodes are left to the bound:
+	// skipping them outright, as the bound nearly always does anyway,
+	// could miss a node that float rounding ranks first in a tie.
 	sp = e.sp.Start("hierarchy.search.sweep")
 	defer sp.End()
-	var bestLevels []int
-	var bestNCP float64
-	var bestSup int
-	scratch := make([]int, m)
-	consider := func(r int, res walkRes) {
-		lv := e.levelsOf(r, scratch)
-		if better(res.ncp, lv, bestNCP, bestLevels) {
-			bestLevels, bestNCP, bestSup = slices.Clone(lv), res.ncp, res.suppressed
-		}
-	}
-	for h := lo; h <= hmax; h++ {
-		allAnon := true
-		var walk []int
+	var batch []int
+	for h := hmax; h >= 0; h-- {
+		batch = batch[:0]
 		for _, r := range heights[h] {
-			switch e.status[r] {
-			case stFail:
-				allAnon = false
+			switch {
+			case e.walkedAt[r]:
+			case e.status[r] == stFail:
 				e.tagHits++
-			case stAnon:
-				if e.walkedAt[r] {
-					consider(r, walkRes{ok: true, suppressed: int(e.supp[r]), ncp: e.ncp[r]})
-				} else if e.maxSup > 0 {
-					// Tagged anonymous: NCP unknown, and with a budget it
-					// may undercut its descendants — score it.
-					walk = append(walk, r)
-				} else {
-					e.tagHits++
-				}
+			case bound.at(e.levelsOf(r, levels)) > bestNCP+boundSlack:
+				e.pruned++
 			default:
-				walk = append(walk, r)
+				batch = append(batch, r)
 			}
 		}
-		rs, err := e.walkRanks(walk)
-		if err != nil {
+		if _, err := walk(batch); err != nil {
 			return nil, err
 		}
-		for i, r := range walk {
-			e.applyWalk(r, rs[i])
-			if rs[i].ok {
-				consider(r, rs[i])
-			} else {
-				allAnon = false
-			}
-		}
-		if allAnon && e.maxSup == 0 {
-			// Everything above this height generalizes an anonymous
-			// node and can only cost more.
-			break
-		}
-	}
-	if bestLevels == nil {
-		return nil, ErrNoCut
 	}
 	return &SearchResult{Levels: bestLevels, NCP: bestNCP, Suppressed: bestSup, Exhaustive: true}, nil
 }
@@ -459,10 +496,14 @@ type beamNode struct {
 // guaranteed optimal; Exhaustive=false in the result flags that.
 func (e *engine) beam(width int) (*SearchResult, error) {
 	m := len(e.dims)
+	// Levels are varints: a tree column may be hundreds of levels tall,
+	// so a fixed byte per level would give (l, x) and (l+256, x) the
+	// same key, while a varint sequence is prefix-free and keeps levels
+	// below 128 at one byte.
 	key := func(levels []int) string {
-		b := make([]byte, m)
-		for j, l := range levels {
-			b[j] = byte(l)
+		b := make([]byte, 0, m)
+		for _, l := range levels {
+			b = binary.AppendUvarint(b, uint64(l))
 		}
 		return string(b)
 	}

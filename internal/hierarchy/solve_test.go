@@ -151,7 +151,8 @@ func TestSolveValidation(t *testing.T) {
 }
 
 // TestSolveObservability: with a span attached, the run records the
-// hierarchy phase spans, counters, and gauges.
+// hierarchy phase spans (the search's descent and sweep among them),
+// counters, and gauges.
 func TestSolveObservability(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tab := randomTable(t, rng, 40, 3, 4, 0)
@@ -177,13 +178,17 @@ func TestSolveObservability(t *testing.T) {
 		walkNames(s)
 	}
 	joined := strings.Join(names, " ")
-	for _, want := range []string{"hierarchy.derive", "hierarchy.columns", "hierarchy.count_tree", "hierarchy.search", "hierarchy.materialize"} {
+	for _, want := range []string{"hierarchy.derive", "hierarchy.columns", "hierarchy.count_tree", "hierarchy.search",
+		"hierarchy.search.descent", "hierarchy.search.sweep", "hierarchy.materialize"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("span %q missing from %v", want, names)
 		}
 	}
 	if snap.Counters["hierarchy.nodes_walked"] == 0 {
 		t.Fatalf("nodes_walked counter missing: %v", snap.Counters)
+	}
+	if snap.Counters["hierarchy.nodes_pruned"] == 0 {
+		t.Fatalf("nodes_pruned counter missing: %v", snap.Counters)
 	}
 	if snap.Gauges["hierarchy.count_tree_nodes"].Last == 0 {
 		t.Fatalf("count_tree_nodes gauge missing: %v", snap.Gauges)
