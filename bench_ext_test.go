@@ -19,18 +19,25 @@ import (
 )
 
 // BenchmarkRefine times the local search from a ball-greedy start: the
-// small whole table, one stream block's worth of census rows, and a
-// large whole table where the O(n²) swap scan dominates.
+// small whole table, one stream block's worth of census rows, a block
+// of 12 columns, one of them past 255 codes (16-bit lanes, three words
+// per packed row), and a large whole table where the O(n²) swap scan
+// dominates.
 func BenchmarkRefine(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		n, m int
+		wide bool
 	}{
-		{"n=150", 150, 6},
-		{"block=256", 256, 8},
-		{"n=2000", 2000, 8},
+		{"n=150", 150, 6, false},
+		{"block=256", 256, 8, false},
+		{"block=256/wide", 256, 12, true},
+		{"n=2000", 2000, 8, false},
 	} {
 		tab := benchTable(b, c.n, c.m)
+		if c.wide {
+			tab = wideColumn(b, tab, 300)
+		}
 		base, err := algo.GreedyBall(tab, 3, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -49,6 +56,23 @@ func BenchmarkRefine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// wideColumn re-interns t's rows under a schema whose first column
+// already holds prior values, as a block of a large table inherits its
+// parent's codes: that column's codes then start at prior.
+func wideColumn(b *testing.B, t *relation.Table, prior int) *relation.Table {
+	b.Helper()
+	out := relation.NewTable(relation.NewSchema(t.Schema().Names()...))
+	for v := 0; v < prior; v++ {
+		out.Schema().Attribute(0).Intern("prior" + itoa(v))
+	}
+	for i := 0; i < t.Len(); i++ {
+		if err := out.AppendStrings(t.Strings(i)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
 }
 
 func BenchmarkStream(b *testing.B) {

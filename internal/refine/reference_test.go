@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"kanon/internal/algo"
@@ -16,8 +17,17 @@ import (
 
 // refTable draws one of the equivalence corpus's tables: census-like,
 // uniform or Zipf data, or any of them with random cells pre-starred.
-func refTable(rng *rand.Rand, kind, n int) *relation.Table {
+// Kinds 6–11 repeat kinds 0–5 in the shapes that packed rows find
+// hardest, picked by shape = 0..15 so every pairing of m and top is
+// drawn: m is 8, 9 or 17 (a row of 8-bit lanes fills one word, or
+// spills into a second or a third), and one column's largest code is
+// top: 253, the largest 8-bit lanes hold; 254 or 255, which need 16-bit
+// lanes; or 65,534 or 65,535, which need 32-bit lanes.
+func refTable(rng *rand.Rand, kind, n, shape int) *relation.Table {
 	m := 2 + rng.Intn(6)
+	if kind >= 6 {
+		m = []int{8, 9, 17}[shape%3]
+	}
 	var t *relation.Table
 	switch kind % 3 {
 	case 0:
@@ -27,7 +37,7 @@ func refTable(rng *rand.Rand, kind, n int) *relation.Table {
 	default:
 		t = dataset.Zipf(rng, n, m, 3+rng.Intn(4), 1.2+rng.Float64())
 	}
-	if kind >= 3 {
+	if kind%6 >= 3 {
 		t = t.Clone()
 		for i := 0; i < t.Len(); i++ {
 			for j := 0; j < m; j++ {
@@ -37,7 +47,41 @@ func refTable(rng *rand.Rand, kind, n int) *relation.Table {
 			}
 		}
 	}
+	if kind >= 6 {
+		t = widen(t, rng.Intn(m), []int32{253, 254, 255, 65534, 65535}[shape%5])
+	}
 	return t
+}
+
+// widen re-codes column col of t so that its largest code is top, the
+// way a stream block inherits its parent's codes: the parent interns
+// top+1 values on that column, its rows take the largest of them, and
+// the result is a SubTable of those rows. Equal cells stay equal and
+// stars stay stars, so the search's moves are those on t.
+func widen(t *relation.Table, col int, top int32) *relation.Table {
+	names := t.Schema().Names()
+	parent := relation.NewTable(relation.NewSchema(names...))
+	for v := int32(0); v <= top; v++ {
+		parent.Schema().Attribute(col).Intern(strconv.Itoa(int(v)))
+	}
+	high := int32(0)
+	for _, r := range t.Rows() {
+		high = max(high, r[col])
+	}
+	for i := 0; i < t.Len(); i++ {
+		vals := t.Strings(i)
+		if v := t.Row(i)[col]; v != relation.Star {
+			vals[col] = strconv.Itoa(int(top - high + v))
+		}
+		if err := parent.AppendStrings(vals...); err != nil {
+			panic(err)
+		}
+	}
+	rows := make([]int, t.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	return parent.SubTable(rows)
 }
 
 // refStart returns a constructor for one start partition: random
@@ -91,17 +135,21 @@ func refStart(t *relation.Table, k, kind int, seed int64) func() *core.Partition
 
 // TestIncrementalMatchesReference pins the incremental pricing to the
 // recomputing reference: on census, uniform and Zipf tables (plain and
-// pre-starred), k = 1..4, three kinds of start and three option sets,
-// both must report identical Stats and leave identical groups, member
-// order included — the same move sequence, so the same release.
+// pre-starred, narrow and in refTable's packing shapes), k = 1..4,
+// three kinds of start and three option sets, both must report
+// identical Stats and leave identical groups, member order included —
+// the same move sequence, so the same release.
 func TestIncrementalMatchesReference(t *testing.T) {
 	opts := []Options{{}, {NoDissolve: true}, {MaxRounds: 1}}
 	instances, moved := 0, 0
+	lanesSeen := map[[2]int]bool{} // {lane width, words per row}
 	for seed := int64(0); seed < 4; seed++ {
-		for table := 0; table < 6; table++ {
+		for table := 0; table < 12; table++ {
 			for k := 1; k <= 4; k++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(table*10+k)))
-				tab := refTable(rng, table, 2*k+rng.Intn(40))
+				tab := refTable(rng, table, 2*k+rng.Intn(40), int(seed)*4+k-1)
+				l := newLanes(tab)
+				lanesSeen[[2]int{int(l.width), l.words}] = true
 				for start := 0; start < 3; start++ {
 					build := refStart(tab, k, start, rng.Int63())
 					for oi, opt := range opts {
@@ -134,6 +182,12 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 	if instances < 800 {
 		t.Fatalf("only %d instances", instances)
+	}
+	// Every lane width, with rows of one word and of several.
+	for _, want := range [][2]int{{8, 1}, {8, 2}, {8, 3}, {16, 3}, {16, 5}, {32, 5}, {32, 9}} {
+		if !lanesSeen[want] {
+			t.Errorf("no instance packed %d-bit lanes into %d words per row; saw %v", want[0], want[1], lanesSeen)
+		}
 	}
 	if moved < instances/2 {
 		t.Fatalf("only %d of %d instances moved anything", moved, instances)

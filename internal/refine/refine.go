@@ -22,9 +22,10 @@ package refine
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
 
 	"kanon/internal/core"
+	"kanon/internal/obs"
 	"kanon/internal/relation"
 )
 
@@ -57,55 +58,116 @@ type Stats struct {
 	CostAfter  int
 }
 
-// mixed marks a signature column on which a set's members disagree.
-// Symbol codes are ≥ 0 and relation.Star is −1, so mixed never equals
-// a row value and a pre-starred cell prices like any other value, as
-// it does in core.Anon.
-const mixed int32 = math.MinInt32
+// Record adds the search's work to sp's tracer as three counters:
+// refine.rounds, refine.moves (relocates, swaps and dissolves) and
+// refine.cost_saved (CostBefore − CostAfter). On a nil span it records
+// nothing and allocates nothing.
+func (st *Stats) Record(sp *obs.Span) {
+	sp.Counter("refine.rounds").Add(int64(st.Rounds))
+	sp.Counter("refine.moves").Add(int64(st.Relocates + st.Swaps + st.Dissolves))
+	sp.Counter("refine.cost_saved").Add(int64(st.CostBefore - st.CostAfter))
+}
 
-// joinCost is core.Anon(S ∪ {r}) for a set S of size n with column
-// signature sig: each column where sig differs from r stars all n+1
-// rows. With S empty, {r} alone costs nothing.
-func joinCost(n int, sig []int32, r relation.Row) int {
+// lanes is the packed layout of a call's rows and signatures: column c
+// sits in word c/per, at bit offset (c%per)·width, and a word holds per
+// = 64/width lanes. A code v is stored as v+1, so relation.Star is the
+// zero lane, and the all-ones lane, mixed, marks a signature column on
+// which a set's members disagree: mixed never equals a row value, and a
+// pre-starred cell prices like any other value, as it does in core.Anon.
+// Lanes past column m−1 are zero in rows and signatures alike, so they
+// never differ and are never mixed.
+type lanes struct {
+	width uint   // bits per lane: 8, 16 or 32
+	per   int    // lanes per word
+	words int    // words per packed row or signature
+	mixed uint64 // the all-ones lane
+	top   uint64 // every lane's top bit
+	low   uint64 // every lane's other bits
+}
+
+// newLanes picks the narrowest lane width of 8, 16 and 32 bits whose
+// all-ones value exceeds v+1 for the largest code v in t.
+func newLanes(t *relation.Table) lanes {
+	maxCode := relation.Star
+	for _, r := range t.Rows() {
+		for _, v := range r {
+			maxCode = max(maxCode, v)
+		}
+	}
+	width := uint(8)
+	for uint64(int64(maxCode)+1) >= 1<<width-1 {
+		width *= 2
+	}
+	l := lanes{width: width, per: 64 / int(width), mixed: 1<<width - 1}
+	l.words = (t.Degree() + l.per - 1) / l.per
+	l.top = ^uint64(0) / l.mixed << (width - 1)
+	l.low = ^l.top
+	return l
+}
+
+// pack writes row r into the zeroed words dst.
+func (l *lanes) pack(dst []uint64, r relation.Row) {
+	for c, v := range r {
+		dst[c/l.per] |= uint64(int64(v)+1) << (uint(c%l.per) * l.width)
+	}
+}
+
+// differ sets the top bit of every nonzero lane of x.
+func (l *lanes) differ(x uint64) uint64 {
+	return ((x & l.low) + l.low | x) & l.top
+}
+
+// joinCost is core.Anon(S ∪ {r}) for a set S of size n with signature
+// sig: each lane where sig differs from r stars all n+1 rows. With S
+// empty, {r} alone costs nothing.
+func (l *lanes) joinCost(n int, sig, r []uint64) int {
 	if n == 0 {
 		return 0
 	}
+	r = r[:len(sig)]
 	d := 0
-	for c, v := range sig {
-		if v != r[c] {
-			d++
-		}
+	for q, x := range sig {
+		d += bits.OnesCount64(l.differ(x ^ r[q]))
 	}
 	return (n + 1) * d
 }
 
-// sigCost is core.Anon(S) for a set S of size n with signature sig.
-func sigCost(n int, sig []int32) int {
+// sigCost is core.Anon(S) for a set S of size n with signature sig: the
+// mixed lanes are the zero lanes of ^sig.
+func (l *lanes) sigCost(n int, sig []uint64) int {
 	d := 0
-	for _, v := range sig {
-		if v == mixed {
-			d++
-		}
+	for _, x := range sig {
+		d += bits.OnesCount64(l.top &^ l.differ(^x))
 	}
 	return n * d
 }
 
+// merge marks mixed every lane of sig on which r differs from it.
+func (l *lanes) merge(sig, r []uint64) {
+	for q, x := range sig {
+		sig[q] = x | (l.differ(x^r[q])>>(l.width-1))*l.mixed
+	}
+}
+
 // search is the local search's state. Besides the groups it caches
-// each group's cost and column signature, and each row's leave-out
+// each group's cost and packed signature, and each row's leave-out
 // signature (its group's signature with the row removed), so that a
-// candidate move prices in O(m) without building the moved groups.
+// candidate move prices in O(m/per) words without building the moved
+// groups.
 type search struct {
-	t      *relation.Table
+	lanes
 	m      int
 	groups [][]int
 	cost   []int
-	sig    [][]int32
+	sig    [][]uint64
 	owner  []int
-	out    []int32 // row i's leave-out signature is out[i*m : (i+1)*m]
-	frees  []bool  // row i's departure unmixes a column of its group
+	rows   []uint64 // row i packed is rows[i*words : (i+1)*words]
+	out    []uint64 // row i's leave-out signature, laid out likewise
+	frees  []bool   // row i's departure unmixes a column of its group
 }
 
-func (s *search) outSig(i int) []int32 { return s.out[i*s.m : (i+1)*s.m] }
+func (s *search) row(i int) []uint64    { return s.rows[i*s.words : (i+1)*s.words] }
+func (s *search) outSig(i int) []uint64 { return s.out[i*s.words : (i+1)*s.words] }
 
 // resign recomputes group gi's signature and cost, and its members'
 // owner, leave-out signature and frees flag, in O(|group|·m). Per
@@ -114,13 +176,17 @@ func (s *search) outSig(i int) []int32 { return s.out[i*s.m : (i+1)*s.m] }
 // the other rows share one value.
 func (s *search) resign(gi int) {
 	g, sig := s.groups[gi], s.sig[gi]
+	clear(sig)
 	for _, r := range g {
 		s.owner[r], s.frees[r] = gi, false
+		clear(s.outSig(r))
 	}
-	for c := range sig {
-		a, b, na, nb, third := mixed, mixed, 0, 0, false
+	for c := range s.m {
+		q, shift := c/s.per, uint(c%s.per)*s.width
+		lane := func(r int) uint64 { return s.rows[r*s.words+q] >> shift & s.mixed }
+		a, b, na, nb, third := s.mixed, s.mixed, 0, 0, false
 		for _, r := range g {
-			switch v := s.t.Row(r)[c]; {
+			switch v := lane(r); {
 			case na == 0 || v == a:
 				a, na = v, na+1
 			case nb == 0 || v == b:
@@ -129,27 +195,28 @@ func (s *search) resign(gi int) {
 				third = true
 			}
 		}
-		sig[c] = a
 		if nb > 0 {
-			sig[c] = mixed
+			sig[q] |= s.mixed << shift
+		} else {
+			sig[q] |= a << shift
 		}
 		for _, r := range g {
 			out := a
 			if nb > 0 {
-				switch v := s.t.Row(r)[c]; {
+				switch v := lane(r); {
 				case !third && v == a && na == 1:
 					out = b
 				case !third && v == b && nb == 1:
 					out = a
 				default:
-					out = mixed
+					out = s.mixed
 				}
-				s.frees[r] = s.frees[r] || out != mixed
+				s.frees[r] = s.frees[r] || out != s.mixed
 			}
-			s.out[r*s.m+c] = out
+			s.out[r*s.words+q] |= out << shift
 		}
 	}
-	s.cost[gi] = sigCost(len(g), sig)
+	s.cost[gi] = s.sigCost(len(g), sig)
 }
 
 // Partition improves p in place and returns search statistics. The
@@ -157,8 +224,9 @@ func (s *search) resign(gi int) {
 // may grow past 2k−1 (that cap is an analysis device, not a feasibility
 // constraint — larger uniform groups are fine and sometimes cheaper).
 //
-// Candidate moves are priced from cached column signatures, and only an
-// accepted move re-signs the groups it changed. The pricing is exact:
+// Candidate moves are priced from cached column signatures, packed
+// with the rows into words of lanes (see lanes), and only an accepted
+// move re-signs the groups it changed. The pricing is exact:
 // the search takes the same moves, in the same order, as pricing each
 // candidate with core.Anon on the moved groups would.
 func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stats, error) {
@@ -187,19 +255,25 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		return nil, fmt.Errorf("refine: %w", err)
 	}
 
-	n, m := t.Len(), t.Degree()
+	n := t.Len()
+	l := newLanes(t)
+	w := l.words
 	s := &search{
-		t: t, m: m, groups: p.Groups,
+		lanes: l, m: t.Degree(), groups: p.Groups,
 		cost:  make([]int, len(p.Groups)),
-		sig:   make([][]int32, len(p.Groups)),
+		sig:   make([][]uint64, len(p.Groups)),
 		owner: make([]int, n),
-		out:   make([]int32, n*m),
+		rows:  make([]uint64, n*w),
+		out:   make([]uint64, n*w),
 		frees: make([]bool, n),
 	}
-	flat := make([]int32, len(p.Groups)*m)
+	for i := range n {
+		s.pack(s.row(i), t.Row(i))
+	}
+	flat := make([]uint64, len(p.Groups)*w)
 	total := 0
 	for gi := range s.groups {
-		s.sig[gi] = flat[gi*m : (gi+1)*m]
+		s.sig[gi] = flat[gi*w : (gi+1)*w]
 		s.resign(gi)
 		total += s.cost[gi]
 	}
@@ -212,7 +286,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 	// Dissolve scratch, indexed by group: the rows tentatively joining
 	// each destination and that destination's signature with them.
 	extra := make([][]int, len(s.groups))
-	esig := make([][]int32, len(s.groups))
+	esig := make([][]uint64, len(s.groups))
 	var touched []int
 
 	improved := true
@@ -228,8 +302,8 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 			if len(s.groups[from]) <= k {
 				continue
 			}
-			ri := t.Row(i)
-			shrunkCost := sigCost(len(s.groups[from])-1, s.outSig(i))
+			ri := s.row(i)
+			shrunkCost := s.sigCost(len(s.groups[from])-1, s.outSig(i))
 			bestG, bestDelta := -1, 0
 			for gi := range s.groups {
 				if gi == from {
@@ -238,7 +312,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				if err := poll(); err != nil {
 					return fail(err)
 				}
-				grownCost := joinCost(len(s.groups[gi]), s.sig[gi], ri)
+				grownCost := s.joinCost(len(s.groups[gi]), s.sig[gi], ri)
 				delta := (shrunkCost + grownCost) - (s.cost[from] + s.cost[gi])
 				if delta < bestDelta {
 					bestG, bestDelta = gi, delta
@@ -257,7 +331,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 
 		// Swap pass.
 		for i := 0; i < n; i++ {
-			gi := s.owner[i]
+			gi, ri, oi := s.owner[i], s.row(i), s.outSig(i)
 			for j := i + 1; j < n; j++ {
 				gj := s.owner[j]
 				if gi == gj {
@@ -271,8 +345,8 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				if !s.frees[i] && !s.frees[j] {
 					continue
 				}
-				ci := joinCost(len(s.groups[gi])-1, s.outSig(i), t.Row(j))
-				cj := joinCost(len(s.groups[gj])-1, s.outSig(j), t.Row(i))
+				ci := s.joinCost(len(s.groups[gi])-1, oi, s.row(j))
+				cj := s.joinCost(len(s.groups[gj])-1, s.outSig(j), ri)
 				delta := (ci + cj) - (s.cost[gi] + s.cost[gj])
 				if delta < 0 {
 					s.groups[gi] = append(withoutRow(s.groups[gi], i), j)
@@ -305,7 +379,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				}
 				touched = touched[:0]
 				for _, row := range g {
-					r := t.Row(row)
+					r := s.row(row)
 					bestDst, bestMarginal := -1, 0
 					for gj := range s.groups {
 						if gj == gi {
@@ -318,7 +392,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 						if e := len(extra[gj]); e > 0 {
 							size, sig = size+e, esig[gj]
 						}
-						marginal := joinCost(size, sig, r) - s.cost[gj]
+						marginal := s.joinCost(size, sig, r) - s.cost[gj]
 						if bestDst == -1 || marginal < bestMarginal {
 							bestDst, bestMarginal = gj, marginal
 						}
@@ -328,16 +402,12 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 						esig[bestDst] = append(esig[bestDst][:0], s.sig[bestDst]...)
 					}
 					extra[bestDst] = append(extra[bestDst], row)
-					for c, v := range esig[bestDst] {
-						if v != r[c] {
-							esig[bestDst][c] = mixed
-						}
-					}
+					s.merge(esig[bestDst], r)
 				}
 				// Evaluate the aggregate delta with all placements applied.
 				delta := -s.cost[gi]
 				for _, dst := range touched {
-					delta += sigCost(len(s.groups[dst])+len(extra[dst]), esig[dst]) - s.cost[dst]
+					delta += s.sigCost(len(s.groups[dst])+len(extra[dst]), esig[dst]) - s.cost[dst]
 				}
 				if delta >= 0 {
 					continue

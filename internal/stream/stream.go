@@ -262,6 +262,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 				errs[bi] = fmt.Errorf("stream: refining block [%d,%d): %w", lo, hi, err)
 				return
 			}
+			st.Record(rs)
 			stat.Refine = st
 		}
 		sup := r.Partition.Suppressor(sub)

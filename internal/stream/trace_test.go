@@ -102,3 +102,32 @@ func TestTraceBlockSpans(t *testing.T) {
 		t.Errorf("recorded %d block spans, want %d", blocks, res.Blocks)
 	}
 }
+
+// TestTraceRefineCounters: a traced pass with Refine reports refine's
+// work through the block spans as three counters, each the sum of its
+// field over the blocks' refine.Stats.
+func TestTraceRefineCounters(t *testing.T) {
+	tab := dataset.Census(rand.New(rand.NewSource(12)), 900, 6)
+	tr := obs.New()
+	root := tr.Start("test")
+	res, err := Anonymize(tab, 3, &Options{BlockRows: 128, Workers: 2, Refine: true, Trace: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{}
+	for _, b := range res.BlockStats {
+		want["refine.rounds"] += int64(b.Refine.Rounds)
+		want["refine.moves"] += int64(b.Refine.Relocates + b.Refine.Swaps + b.Refine.Dissolves)
+		want["refine.cost_saved"] += int64(b.Refine.CostBefore - b.Refine.CostAfter)
+	}
+	if want["refine.moves"] == 0 || want["refine.cost_saved"] == 0 {
+		t.Fatalf("refine found nothing to do on the corpus: %v", want)
+	}
+	snap := tr.Snapshot()
+	for name, w := range want {
+		if got := snap.Counters[name]; got != w {
+			t.Errorf("%s = %d, want %d", name, got, w)
+		}
+	}
+}

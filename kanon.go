@@ -412,11 +412,12 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 			return nil, fmt.Errorf("kanon: %w", err)
 		}
 		rs := root.Start("kanon.refine")
-		_, err := refine.Partition(t, p, k, &refine.Options{Ctx: ctx})
+		st, err := refine.Partition(t, p, k, &refine.Options{Ctx: ctx})
 		rs.End()
 		if err != nil {
 			return nil, fmt.Errorf("kanon: refining: %w", err)
 		}
+		st.Record(rs)
 	}
 
 	ss := root.Start("kanon.suppress")

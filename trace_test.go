@@ -133,3 +133,25 @@ func TestTraceExactAndWeighted(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceRefineCounters: a traced run with Refine reports the local
+// search's work under the kanon.refine span. The stars it saved are the
+// difference between the unrefined and the refined release's cost.
+func TestTraceRefineCounters(t *testing.T) {
+	header, rows := genTable(240, 6, 42)
+	plain, err := kanon.Anonymize(header, rows, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := kanon.Anonymize(header, rows, 3, &kanon.Options{Refine: true, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := refined.Stats.Counters
+	if got, want := c["refine.cost_saved"], int64(plain.Cost-refined.Cost); got != want || want <= 0 {
+		t.Errorf("refine.cost_saved = %d, want %d (> 0)", got, want)
+	}
+	if c["refine.rounds"] < 1 || c["refine.moves"] < 1 {
+		t.Errorf("refine.rounds = %d, refine.moves = %d; want both ≥ 1", c["refine.rounds"], c["refine.moves"])
+	}
+}
