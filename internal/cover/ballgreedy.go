@@ -19,16 +19,13 @@ import (
 // until it picks one.
 //
 // A ball's ratio depends only on how many rows, and how many uncovered
-// rows, lie at each of its center's distances. So every center keeps a
-// distance histogram: its distinct distances in ascending order, each
-// with the number of all rows and of still-uncovered rows at that
-// distance. Evaluating a center walks its at most min(n, MaxDist()+1)
-// buckets. Picking a ball fills the chosen center's distance row once,
-// which lists the members in index order, and then updates every
-// center's uncovered counts, either by subtracting the newly covered
-// rows or by rebuilding from the rows still uncovered, whichever list
-// is shorter. The histograms hold at most n·min(n, MaxDist()+1)
-// buckets in all, under every kernel.
+// rows, lie at each of its center's distances. So every center keeps
+// those two counts per distance (see ballCounts): evaluating a center
+// walks its distances in ascending order. Picking a ball fills the
+// chosen center's distance row once, which lists the members in index
+// order, and then updates every center's uncovered counts, either by
+// subtracting the newly covered rows or by rebuilding from the rows
+// still uncovered, whichever list is shorter.
 //
 // Correctness of the laziness: for a fixed center, every ball's ratio
 // weight/uncovered is nondecreasing as the covered region grows, hence
@@ -36,21 +33,23 @@ import (
 // best ratio therefore yields the true global minimum once the popped
 // center's recomputed key is no worse than the next key in the queue.
 //
-// The histogram build and the per-pick updates are sharded across
-// workers by center through par.For (par.Workers resolves the count:
-// 0 means all CPUs, 1 forces the sequential path); each center's
-// histogram is written by one worker at a time and the greedy
-// selection itself is sequential, so the chosen cover is
-// byte-identical for every worker count. The context is checked once
-// per center during the build and during each update, and once per
-// selection round, so covers over large tables abort promptly when the
-// caller cancels or times out; the returned error wraps ctx.Err().
-// Instrumentation attaches under sp (nil disables it): child spans for
-// the two phases ("cover.neighbor-order" for the histogram build,
-// "cover.greedy" for the selection loop) and counters for greedy rounds
-// run (cover.greedy_rounds), center evaluations
-// (cover.balls_considered), and sets picked (cover.sets_picked).
-// Tracing never changes the chosen cover.
+// The count build is sharded across workers by center and the
+// per-pick updates by chunks of updateChunk centers, through par.For
+// (par.Workers resolves the count: 0 means all CPUs, 1 forces the
+// sequential path); each center's counts are written by one worker at
+// a time and the greedy selection itself is sequential, so the chosen
+// cover is byte-identical for every worker count. The context is
+// checked once per center during the build, once per chunk during
+// each update, and once per selection round, so covers over large
+// tables abort promptly when the caller cancels or times out; the
+// returned error wraps ctx.Err(). Instrumentation attaches under sp
+// (nil disables it): child spans for the two phases
+// ("cover.neighbor-order" for the count build, "cover.greedy" for the
+// selection loop), a gauge of the workers the pools run on
+// (cover.workers), and counters for greedy rounds run
+// (cover.greedy_rounds), center evaluations (cover.balls_considered),
+// and sets picked (cover.sets_picked). Tracing never changes the
+// chosen cover.
 func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *obs.Span) ([]Set, error) {
 	n := mat.Len()
 	if k < 1 {
@@ -60,14 +59,14 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 		return nil, fmt.Errorf("cover: n = %d < k = %d", n, k)
 	}
 
-	ws := newHistWorkers(mat, workers)
+	cs := newBallCounts(mat, workers)
+	sp.Gauge("cover.workers").Set(int64(len(cs.ws)))
 	ns := sp.Start("cover.neighbor-order")
-	hist := make([][]distBucket, n)
-	par.For(n, len(ws), func(w, c int) {
+	par.For(n, len(cs.ws), func(w, c int) {
 		if ctx.Err() != nil {
 			return // drain remaining centers cheaply; checked below
 		}
-		hist[c] = ws[w].histogram(mat, c)
+		cs.build(w, c)
 	})
 	ns.End()
 	if err := ctx.Err(); err != nil {
@@ -89,25 +88,9 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	progress := sp.Progress("cover.covered")
 	progress.SetTotal(int64(n))
 
-	// evalCenter returns c's minimum-ratio ball against the current
-	// uncovered counts. Ball boundaries are the ends of the distance
-	// buckets. Every center has a ball of all n ≥ k rows, so one
-	// qualifies while any row is uncovered.
 	evalCenter := func(c int) centerEntry {
 		considered++
-		best := centerEntry{center: c}
-		size, unc := 0, 0
-		for _, b := range hist[c] {
-			size += int(b.tot)
-			unc += int(b.unc)
-			if size < k || unc == 0 {
-				continue
-			}
-			if weight := 2 * int(b.d); best.unc == 0 || better(weight, unc, best.weight, best.unc) {
-				best.weight, best.unc, best.end = weight, unc, size
-			}
-		}
-		return best
+		return cs.best(c, k)
 	}
 
 	// Initial heap: every center evaluated against the empty cover.
@@ -119,16 +102,18 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 
 	covered := make([]bool, n)
 	remaining := n
-	// update takes rows, just covered, off center c's uncovered counts
-	// or, with recount set, rebuilds the counts from rows, the rows
-	// still uncovered.
+	// update brings the uncovered counts of the i-th chunk of centers
+	// up to date: rows, just covered, come off them or, with recount
+	// set, rows are the rows still uncovered and are counted afresh.
 	rows := make([]int32, 0, n)
 	var recount bool
-	update := func(w, c int) {
+	chunks := (n + updateChunk - 1) / updateChunk
+	update := func(w, i int) {
 		if ctx.Err() != nil {
-			return // drain remaining centers cheaply; checked below
+			return // drain remaining chunks cheaply; checked below
 		}
-		ws[w].uncover(mat, c, hist[c], rows, recount)
+		lo := i * updateChunk
+		cs.update(w, lo, min(lo+updateChunk, n), rows, recount)
 	}
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
@@ -143,8 +128,8 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 		}
 		// The members are the rows within the ball's radius, listed in
 		// index order by one scan of the center's distance row.
-		row := ws[0].row
-		fillRow(mat, best.center, row)
+		row := cs.ws[0].row
+		fillRow(mat, best.center, 0, row)
 		r := int32(best.weight / 2)
 		members := make([]int, 0, best.end)
 		rows = rows[:0]
@@ -179,13 +164,169 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 				}
 			}
 		}
-		par.For(n, len(ws), update)
+		par.For(chunks, len(cs.ws), update)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cover: ball greedy: %w", err)
 		}
 		pq.push(evalCenter(best.center))
 	}
 	return chosen, nil
+}
+
+// updateChunk is the number of consecutive centers one per-pick update
+// call covers: each covered row's distances to them are one ranged
+// fill, and their uncovered counts (a few KB under Hamming) stay in
+// cache while the rows stream past.
+const updateChunk = 256
+
+// ballCounts holds, for every center, the number of rows and of
+// still-uncovered rows at each of its distances, in one of two layouts
+// picked from the kernel's distance range, with no option:
+//
+//   - flat, when MaxDist()+1 ≤ min(n, flatMaxWidth), which holds for
+//     every Hamming kernel over fewer than flatMaxWidth columns and
+//     more rows than columns: two n×(MaxDist+1) tables, tot and unc,
+//     one fixed-width row per center indexed by distance. They take
+//     8·n·(MaxDist+1) bytes, less than the sparse layout's
+//     n·min(n, MaxDist+1) buckets of 12 bytes, and at most
+//     8·flatMaxWidth bytes a center. A center is evaluated over its
+//     row's nonempty slots, and a pick streams each covered row's
+//     distances to a chunk of centers through one ranged DistRow,
+//     adding ±1 at unc[c][d]; no pair pays an interface call or a
+//     bucket search.
+//   - sparse, otherwise: per center, a histogram of its distinct
+//     distances in ascending order, which an update searches for each
+//     covered row's bucket. A weighted metric can range far past n,
+//     or just under it with only a few distinct distances per center,
+//     where fixed-width rows would be mostly empty slots.
+//
+// Both layouts list the same distances with the same counts, so the
+// evaluations, and the cover, are the same.
+type ballCounts struct {
+	mat   metric.Kernel
+	width int     // slots per center in tot and unc; 0 selects hist
+	tot   []int32 // tot[c*width+d]: rows at distance d from center c
+	unc   []int32 // unc[c*width+d]: those of them still uncovered
+	hist  [][]distBucket
+	ws    []histWorker // one per pool worker
+}
+
+// flatMaxWidth caps the slots a center's row takes in the flat count
+// tables. A Hamming kernel needs m+1 of them for m columns; past the
+// cap a kernel keeps the sparse histograms, so the flat tables never
+// take more than 512 bytes a center, whatever a weighted metric's
+// range (at a range of 1,008 over 2,000 rows, with at most 16 distinct
+// distances a center, they would take 16 MB against 0.4 MB of
+// histograms).
+const flatMaxWidth = 64
+
+// newBallCounts sizes the count storage of mat's rows, and one
+// histWorker per worker the cover shards across.
+func newBallCounts(mat metric.Kernel, workers int) *ballCounts {
+	n, maxd := mat.Len(), mat.MaxDist()
+	cs := &ballCounts{mat: mat, ws: make([]histWorker, par.Workers(workers, n))}
+	if maxd+1 <= min(n, flatMaxWidth) {
+		cs.width = maxd + 1
+		cs.tot = make([]int32, n*cs.width)
+		cs.unc = make([]int32, n*cs.width)
+	} else {
+		cs.hist = make([][]distBucket, n)
+	}
+	for w := range cs.ws {
+		cs.ws[w].row = make([]int32, n)
+		if cs.width == 0 {
+			cs.ws[w].buf = make([]distBucket, 0, n)
+			if maxd <= countingSortCutoff(n) {
+				cs.ws[w].cnt = make([]int32, maxd+1)
+			}
+		}
+	}
+	return cs
+}
+
+// build counts center c's distance row on worker w.
+func (cs *ballCounts) build(w, c int) {
+	row := cs.ws[w].row
+	fillRow(cs.mat, c, 0, row)
+	if cs.width == 0 {
+		cs.hist[c] = cs.ws[w].histogram(row)
+		return
+	}
+	tot := cs.tot[c*cs.width : (c+1)*cs.width]
+	for _, d := range row {
+		tot[d]++
+	}
+	copy(cs.unc[c*cs.width:], tot)
+}
+
+// best returns center c's minimum-ratio ball against the current
+// uncovered counts. Ball boundaries are the center's distinct
+// distances. Every center has a ball of all n ≥ k rows, so one
+// qualifies while any row is uncovered.
+func (cs *ballCounts) best(c, k int) centerEntry {
+	e := centerEntry{center: c}
+	size, unc := 0, 0
+	if cs.width == 0 {
+		for _, b := range cs.hist[c] {
+			size += int(b.tot)
+			unc += int(b.unc)
+			e.consider(2*int(b.d), size, unc, k)
+		}
+		return e
+	}
+	row := c * cs.width
+	tot, uncs := cs.tot[row:row+cs.width], cs.unc[row:row+cs.width]
+	for d, t := range tot {
+		if t == 0 {
+			continue
+		}
+		size += int(t)
+		unc += int(uncs[d])
+		e.consider(2*d, size, unc, k)
+	}
+	return e
+}
+
+// update takes rows, just covered, off the uncovered counts of centers
+// [lo, hi) on worker w; with recount set, rows are instead all the rows
+// still uncovered and the counts are rebuilt from them. In the flat
+// tables each row's distances to the chunk come from one ranged fill
+// (d is a metric, so d(v, c) = d(c, v)).
+func (cs *ballCounts) update(w, lo, hi int, rows []int32, recount bool) {
+	if cs.width == 0 {
+		for c := lo; c < hi; c++ {
+			cs.ws[w].uncover(cs.mat, c, cs.hist[c], rows, recount)
+		}
+		return
+	}
+	width := cs.width
+	unc := cs.unc[lo*width : hi*width]
+	delta := int32(-1)
+	if recount {
+		delta = 1
+		clear(unc)
+	}
+	dist := cs.ws[w].row[:hi-lo]
+	for _, v := range rows {
+		fillRow(cs.mat, int(v), lo, dist)
+		off := 0
+		for _, d := range dist {
+			unc[off+int(d)] += delta
+			off += width
+		}
+	}
+}
+
+// consider offers e the ball that ends at a distance boundary of its
+// center: the ball has the given weight and size and holds unc
+// uncovered rows. It keeps the better of it and e's ball.
+func (e *centerEntry) consider(weight, size, unc, k int) {
+	if size < k || unc == 0 {
+		return
+	}
+	if e.unc == 0 || better(weight, unc, e.weight, e.unc) {
+		e.weight, e.unc, e.end = weight, unc, size
+	}
 }
 
 // distBucket is one distinct distance d from a center, with the number
@@ -199,10 +340,10 @@ type distBucket struct {
 // the whole table fewer.
 const histChunk = 1024
 
-// histWorker is one worker's reusable state for building and updating
-// center histograms.
+// histWorker is one worker's reusable state for filling distance rows
+// and for building and updating sparse center histograms.
 type histWorker struct {
-	row []int32 // a center's distance row
+	row []int32 // a center's distance row, or a chunk's part of one
 	// cnt counts rows per distance while a histogram is built and maps
 	// distance to bucket index during an update; nil when the kernel's
 	// distance range is past countingSortCutoff.
@@ -212,30 +353,14 @@ type histWorker struct {
 	chunk  []distBucket // storage the built histograms are copied into
 }
 
-// newHistWorkers returns one histWorker per worker the cover shards
-// across.
-func newHistWorkers(mat metric.Kernel, workers int) []histWorker {
-	n, maxd := mat.Len(), mat.MaxDist()
-	ws := make([]histWorker, par.Workers(workers, n))
-	for w := range ws {
-		ws[w].row = make([]int32, n)
-		ws[w].buf = make([]distBucket, 0, min(n, maxd+1))
-		if maxd <= countingSortCutoff(n) {
-			ws[w].cnt = make([]int32, maxd+1)
-		}
-	}
-	return ws
-}
-
-// histogram returns center c's distance histogram, counting the
-// distances when their range allows and sorting the row otherwise.
-// Both produce the same buckets.
-func (w *histWorker) histogram(mat metric.Kernel, c int) []distBucket {
-	fillRow(mat, c, w.row)
+// histogram returns the sparse distance histogram of row, a center's
+// distance row, counting the distances when their range allows and
+// sorting the row otherwise. Both produce the same buckets.
+func (w *histWorker) histogram(row []int32) []distBucket {
 	buf := w.buf[:0]
 	if w.cnt != nil {
 		clear(w.cnt)
-		for _, d := range w.row {
+		for _, d := range row {
 			w.cnt[d]++
 		}
 		for d, t := range w.cnt {
@@ -244,7 +369,7 @@ func (w *histWorker) histogram(mat metric.Kernel, c int) []distBucket {
 			}
 		}
 	} else {
-		s := append(w.sorted[:0], w.row...)
+		s := append(w.sorted[:0], row...)
 		slices.Sort(s)
 		for i := 0; i < len(s); {
 			j := i + 1
@@ -259,7 +384,7 @@ func (w *histWorker) histogram(mat metric.Kernel, c int) []distBucket {
 	w.buf = buf
 	if cap(w.chunk)-len(w.chunk) < len(buf) {
 		// n·min(n, MaxDist+1) buckets hold every histogram of the table.
-		w.chunk = make([]distBucket, 0, max(len(buf), min(histChunk, len(w.row)*cap(w.buf))))
+		w.chunk = make([]distBucket, 0, max(len(buf), min(histChunk, len(row)*cap(w.buf))))
 	}
 	start := len(w.chunk)
 	w.chunk = append(w.chunk, buf...)
@@ -267,12 +392,13 @@ func (w *histWorker) histogram(mat metric.Kernel, c int) []distBucket {
 }
 
 // uncover takes rows, just covered, off the uncovered counts of h,
-// center c's histogram; with recount set, rows are instead all the rows
-// still uncovered and the counts are rebuilt from them. A row's bucket
-// is found by binary search over h's distinct distances, or through
-// cnt filled as a distance → bucket map when filling it takes no more
-// steps than the searches it replaces, so an update costs
-// O(min(len(rows)·log len(h), len(rows)+len(h))) whatever the metric.
+// center c's sparse histogram; with recount set, rows are instead all
+// the rows still uncovered and the counts are rebuilt from them. A
+// row's bucket is found by binary search over h's distinct distances,
+// or through cnt filled as a distance → bucket map when filling it
+// takes no more steps than the searches it replaces, so an update
+// costs O(min(len(rows)·log len(h), len(rows)+len(h))) whatever the
+// metric.
 func (w *histWorker) uncover(mat metric.Kernel, c int, h []distBucket, rows []int32, recount bool) {
 	delta := int32(-1)
 	if recount {
@@ -304,15 +430,16 @@ func (w *histWorker) uncover(mat metric.Kernel, c int, h []distBucket, rows []in
 	}
 }
 
-// fillRow fills row with center c's distances to every row, through
-// the kernel's RowFiller fast path when it has one.
-func fillRow(mat metric.Kernel, c int, row []int32) {
+// fillRow fills out with center c's distances to the rows lo, lo+1, …,
+// out[i] = d(c, lo+i), through the kernel's RowFiller fast path when it
+// has one.
+func fillRow(mat metric.Kernel, c, lo int, out []int32) {
 	if rf, ok := mat.(metric.RowFiller); ok {
-		rf.DistRow(c, row)
+		rf.DistRow(c, lo, out)
 		return
 	}
-	for v := range row {
-		row[v] = int32(mat.Dist(c, v))
+	for i := range out {
+		out[i] = int32(mat.Dist(c, lo+i))
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 )
 
 // greedyBallsRef is the former GreedyBallsCtx, kept verbatim as the
-// reference the histogram greedy must match: it re-evaluates a center
+// reference the count-based greedy must match: it re-evaluates a center
 // by refilling and counting-sorting its distance row, and under a
 // dense matrix it caches every center's neighbor order.
 func greedyBallsRef(ctx context.Context, mat metric.Kernel, k, workers int, sp *obs.Span) ([]Set, error) {
@@ -90,7 +90,7 @@ func greedyBallsRef(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 		if ord != nil {
 			o = ord[c]
 			if rf, has := mat.(metric.RowFiller); has {
-				rf.DistRow(c, s.dist)
+				rf.DistRow(c, 0, s.dist)
 			} else {
 				for v := 0; v < n; v++ {
 					s.dist[v] = int32(mat.Dist(c, v))
@@ -205,7 +205,7 @@ func greedyBallsRef(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 type pairwiseKernel struct{ metric.Kernel }
 
 // greedyCounters runs a cover under a live span and returns it with
-// the three counters the histogram greedy must keep unchanged.
+// the three counters the count-based greedy must keep unchanged.
 func greedyCounters(t *testing.T, run func(sp *obs.Span) ([]Set, error)) ([]Set, [3]int64) {
 	t.Helper()
 	tr := obs.New()
@@ -234,7 +234,7 @@ func starCells(rng *rand.Rand, tab *relation.Table) *relation.Table {
 	return out
 }
 
-// TestGreedyBallsMatchesReference pins the histogram greedy to the
+// TestGreedyBallsMatchesReference pins the count-based greedy to the
 // former implementation: identical covers and identical round,
 // evaluation and pick counts, on census, uniform and planted tables
 // (some with pre-starred cells), under the dense, bitset, weighted and
@@ -242,7 +242,10 @@ func starCells(rng *rand.Rand, tab *relation.Table) *relation.Table {
 // weighted metric gives every set of differing columns a distance of
 // its own, so centers have many more buckets than m+1 while the range
 // stays below countingSortCutoff; another ranges past the cutoff, so
-// the comparison-sort fallback runs too.
+// the comparison-sort fallback runs too. Kernels with MaxDist()+1 ≤ n
+// run the flat count tables, the weighted-many kernel of the 57-row,
+// 9-column tables and every weighted-wide kernel the sparse
+// histograms; the test checks both layouts ran.
 func TestGreedyBallsMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	type table struct {
@@ -267,6 +270,7 @@ func TestGreedyBallsMatchesReference(t *testing.T) {
 		}
 	}
 	cases, wide := 0, 0
+	layouts := map[bool]int{} // kernels per layout: flat (true) or sparse
 	for ti, tb := range tables {
 		if raceEnabled && ti%6 != 0 {
 			continue // the race build checks census tables of 20, 130 and 420 rows
@@ -299,6 +303,7 @@ func TestGreedyBallsMatchesReference(t *testing.T) {
 			t.Fatalf("%s: weighted-many ranges to %d, past the counting-sort cutoff", tb.name, wm.MaxDist())
 		}
 		for kname, kern := range kernels {
+			layouts[newBallCounts(kern, 1).width > 0]++
 			for _, k := range []int{2, 3, 5} {
 				want, wantCnt := greedyCounters(t, func(sp *obs.Span) ([]Set, error) {
 					return greedyBallsRef(ctx, kern, k, 1, sp)
@@ -321,7 +326,10 @@ func TestGreedyBallsMatchesReference(t *testing.T) {
 	if wide == 0 {
 		t.Fatal("no weighted metric ranged past countingSortCutoff; the comparison-sort fallback went untested")
 	}
-	t.Logf("%d cases match the reference, %d tables with a metric past the counting-sort cutoff", cases, wide)
+	if layouts[true] == 0 || layouts[false] == 0 {
+		t.Fatalf("%d kernels ran the flat tables and %d the sparse histograms; one layout went untested", layouts[true], layouts[false])
+	}
+	t.Logf("%d cases match the reference, %d tables with a metric past the counting-sort cutoff, %d kernels flat and %d sparse", cases, wide, layouts[true], layouts[false])
 }
 
 // raceEnabled is set by race_test.go in -race builds.

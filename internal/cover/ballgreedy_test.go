@@ -68,7 +68,7 @@ func twoGroupTable(rng *rand.Rand, n int) *relation.Table {
 }
 
 // TestGreedyBallsCancelAtEveryPoll cancels a small cover at each of
-// its context polls in turn: the histogram build, every selection
+// its context polls in turn: the count build, every selection
 // round and every per-pick update must stop there and return an error
 // wrapping context.Canceled and no cover. One poll later than the last
 // lets the cover finish, identical to an uncancelled run.
@@ -141,6 +141,46 @@ func TestGreedyBallsHugeWorkerCount(t *testing.T) {
 		t.Errorf("allocated %d bytes at workers = MaxInt, want at most %d", alloc, 4<<20)
 	}
 }
+
+// TestBallCountsLayout pins the rule that picks the count layout from
+// the kernel's row count and distance range: flat tables for ranges
+// that fit min(n, flatMaxWidth) slots, which every Hamming kernel over
+// fewer than 64 columns and more rows than columns does, sparse
+// histograms past that. A weighted range of 1,008 over 2,000 rows
+// stays sparse: its flat tables would take 16 MB.
+func TestBallCountsLayout(t *testing.T) {
+	for _, tc := range []struct {
+		n, maxd int
+		flat    bool
+	}{
+		{2000, 8, true},     // census Hamming, m = 8
+		{2000, 63, true},    // Hamming at the cap
+		{2000, 64, false},   // one slot past it
+		{2000, 1007, false}, // -weights 1000,1,1,1,1,1,1,1
+		{2000, 4095, false}, // weights 2^j over 12 columns
+		{20, 19, true},      // range fills every row
+		{20, 20, false},     // range past n
+		{3, 0, true},        // all rows alike
+	} {
+		cs := newBallCounts(rangeKernel{n: tc.n, maxd: tc.maxd}, 1)
+		if got := cs.width > 0; got != tc.flat {
+			t.Errorf("n=%d MaxDist=%d: flat = %v, want %v", tc.n, tc.maxd, got, tc.flat)
+		}
+		if bytes := 4 * (len(cs.tot) + len(cs.unc)); bytes > 8*flatMaxWidth*tc.n {
+			t.Errorf("n=%d MaxDist=%d: flat tables take %d bytes, past %d a center", tc.n, tc.maxd, bytes, 8*flatMaxWidth)
+		}
+	}
+}
+
+// rangeKernel reports a row count and a distance range and nothing
+// else: enough for newBallCounts to pick and size its layout.
+type rangeKernel struct {
+	metric.Kernel
+	n, maxd int
+}
+
+func (r rangeKernel) Len() int     { return r.n }
+func (r rangeKernel) MaxDist() int { return r.maxd }
 
 // bitKernel packs tab into the matrix-free kernel.
 func bitKernel(tb testing.TB, tab *relation.Table) *metric.BitKernel {

@@ -46,11 +46,12 @@ func BenchmarkBallsParallel(b *testing.B) {
 }
 
 // BenchmarkGreedyBallsParallel measures the full Theorem 4.2 cover
-// (histogram build + greedy selection) at 1 worker vs all CPUs, on the
+// (count build + greedy selection) at 1 worker vs all CPUs, on the
 // dense matrix and on the matrix-free kernel over the same census
 // table, and on a weighted metric of a 12-column census table whose
 // power-of-two weights give centers hundreds of distinct distances,
-// all below the counting-sort cutoff.
+// all below the counting-sort cutoff but ranging past n, so that cover
+// keeps the sparse histograms while the other two run the flat tables.
 func BenchmarkGreedyBallsParallel(b *testing.B) {
 	mat := benchMatrix(b, 2000)
 	bit := bitKernel(b, dataset.Census(rand.New(rand.NewSource(20040614)), 2000, 8))

@@ -45,7 +45,7 @@ func putScratch(s *ballScratch) { scratchPool.Put(s) }
 // order.
 func neighborOrder(mat metric.Kernel, c int, s *ballScratch) {
 	n := mat.Len()
-	fillRow(mat, c, s.dist)
+	fillRow(mat, c, 0, s.dist)
 	maxd := int(slices.Max(s.dist))
 	if maxd > countingSortCutoff(n) {
 		for v := range s.ord {

@@ -133,18 +133,17 @@ func (b *BitKernel) Dist(i, j int) int {
 // all that is needed.
 func (b *BitKernel) MaxDist() int { return b.m }
 
-// DistRow fills out[v] = d(center, v) for all v — the RowFiller fast
-// path the cover package's radius kernels use. It streams the packed
-// one-hot words once, in one loop whatever the row width, instead of
-// calling Dist per pair.
-func (b *BitKernel) DistRow(center int, out []int32) {
-	out = out[:b.n]
+// DistRow fills out[i] = d(center, lo+i) — the RowFiller fast path
+// the cover package uses. It streams the rows' packed one-hot words
+// once, in one loop whatever the row width, instead of calling Dist
+// per pair.
+func (b *BitKernel) DistRow(center, lo int, out []int32) {
 	if w := b.words; w == 0 {
 		clear(out) // no one-hot columns
 	} else {
 		u := b.onehot[center*w : (center+1)*w]
 		v, j, agree := 0, 0, 0
-		for _, x := range b.onehot[:len(out)*w] {
+		for _, x := range b.onehot[lo*w : (lo+len(out))*w] {
 			agree += bits.OnesCount64(x & u[j])
 			if j++; j == w {
 				out[v] = int32(b.onehotCols - agree)
@@ -155,7 +154,7 @@ func (b *BitKernel) DistRow(center int, out []int32) {
 	if p := b.packedCols; p > 0 {
 		pu := b.packed[center*p : (center+1)*p]
 		for v := range out {
-			for j, x := range b.packed[v*p : (v+1)*p] {
+			for j, x := range b.packed[(lo+v)*p : (lo+v+1)*p] {
 				if x != pu[j] {
 					out[v]++
 				}

@@ -12,7 +12,8 @@ import (
 // stream supplies the shape (n, m), the per-column alphabet widths, and
 // every cell, including stars — then cross-checks the matrix-free
 // kernel against the row-wise Distance definition and the dense Matrix
-// on all pairs, plus one Ball and one KthNearest query. Any
+// on all pairs, plus one ranged DistRow, one Ball and one KthNearest
+// query. Any
 // disagreement is a found bug: the kernels are specified to be
 // byte-identical.
 func FuzzBitKernel(f *testing.F) {
@@ -73,6 +74,16 @@ func FuzzBitKernel(f *testing.F) {
 			}
 		}
 		c := int(next()) % n
+		lo := int(next()) % n
+		hi := lo + int(next())%(n-lo+1)
+		rowM, rowB := make([]int32, hi-lo), make([]int32, hi-lo)
+		mat.DistRow(c, lo, rowM)
+		bit.DistRow(c, lo, rowB)
+		for i := range rowM {
+			if want := int32(mat.Dist(c, lo+i)); rowM[i] != want || rowB[i] != want {
+				t.Fatalf("DistRow(%d, %d)[%d]: matrix %d, bitkernel %d, want %d", c, lo, i, rowM[i], rowB[i], want)
+			}
+		}
 		r := int(next()) % (bit.MaxDist() + 1)
 		bm, bb := mat.Ball(c, r), bit.Ball(c, r)
 		if len(bm) != len(bb) {

@@ -38,11 +38,13 @@ type Kernel interface {
 }
 
 // RowFiller is an optional fast path a Kernel may provide: fill out
-// (length Len()) with the full distance row of one center in a single
-// pass. The cover package's counting-sort radius kernels use it via
-// type assertion; kernels without it are queried pairwise.
+// with one center's distances to the consecutive rows lo, lo+1, …,
+// out[i] = d(center, lo+i), in a single pass (lo+len(out) ≤ Len()).
+// The cover package uses it via type assertion, for whole rows
+// (lo = 0, len(out) = Len()) and for a chunk of centers at a time;
+// kernels without it are queried pairwise.
 type RowFiller interface {
-	DistRow(center int, out []int32)
+	DistRow(center, lo int, out []int32)
 }
 
 // Choice selects which kernel implementation NewKernelCtx builds.

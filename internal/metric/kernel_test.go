@@ -102,14 +102,19 @@ func checkKernelsAgree(t *testing.T, tab *relation.Table, mat *Matrix, bit *BitK
 		}
 	}
 
-	// DistRow agreement (both kernels implement RowFiller).
+	// DistRow agreement (both kernels implement RowFiller), over whole
+	// rows and over ranges that start and end inside the table.
 	rowM, rowB := make([]int32, n), make([]int32, n)
 	for _, c := range []int{0, n / 2, n - 1} {
-		mat.DistRow(c, rowM)
-		bit.DistRow(c, rowB)
-		for i := range rowM {
-			if rowM[i] != rowB[i] {
-				t.Fatalf("DistRow(%d)[%d]: matrix %d, bitkernel %d", c, i, rowM[i], rowB[i])
+		for _, r := range [][2]int{{0, n}, {n / 3, n}, {1, n / 2}, {n - 1, n}, {n / 2, n / 2}} {
+			lo, hi := r[0], r[1]
+			mat.DistRow(c, lo, rowM[:hi-lo])
+			bit.DistRow(c, lo, rowB[:hi-lo])
+			for i := range rowM[:hi-lo] {
+				want := int32(Distance(tab.Row(c), tab.Row(lo+i)))
+				if rowM[i] != want || rowB[i] != want {
+					t.Fatalf("DistRow(%d, %d)[%d]: matrix %d, bitkernel %d, want %d", c, lo, i, rowM[i], rowB[i], want)
+				}
 			}
 		}
 	}
@@ -409,10 +414,16 @@ func TestWideMatrixRowFillerAndKthNearest(t *testing.T) {
 		t.Fatal("matrix did not widen past int16")
 	}
 	out := make([]int32, n)
-	mat.DistRow(3, out)
+	mat.DistRow(3, 0, out)
 	for j := range out {
 		if int(out[j]) != sym(3, j) {
 			t.Fatalf("wide DistRow[%d] = %d, want %d", j, out[j], sym(3, j))
+		}
+	}
+	mat.DistRow(5, 4, out[:n-6])
+	for j, d := range out[:n-6] {
+		if int(d) != sym(5, 4+j) {
+			t.Fatalf("wide DistRow(5, 4)[%d] = %d, want %d", j, d, sym(5, 4+j))
 		}
 	}
 	got := mat.KthNearest(2)

@@ -49,19 +49,6 @@ func Diameter(t *relation.Table, indices []int) int {
 	return best
 }
 
-// DiameterRows is Diameter over explicit rows rather than table indices.
-func DiameterRows(rows []relation.Row) int {
-	best := 0
-	for a := 0; a < len(rows); a++ {
-		for b := a + 1; b < len(rows); b++ {
-			if d := Distance(rows[a], rows[b]); d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // Matrix is a precomputed symmetric distance matrix over the rows of a
 // table. Both approximation algorithms consult pairwise distances
 // heavily; precomputing them once turns the inner loops into table
@@ -220,16 +207,16 @@ func (m *Matrix) MaxDist() int { return m.maxD }
 // exceeded math.MaxInt16).
 func (m *Matrix) Wide() bool { return m.wide != nil }
 
-// DistRow copies row center of the matrix into out — the RowFiller
-// fast path the cover package's radius kernels use instead of n Dist
-// calls.
-func (m *Matrix) DistRow(center int, out []int32) {
+// DistRow copies the cells (center, lo), …, (center, lo+len(out)−1)
+// of the matrix into out — the RowFiller fast path the cover package
+// uses instead of one Dist call per cell.
+func (m *Matrix) DistRow(center, lo int, out []int32) {
+	base := center*m.n + lo
 	if m.wide != nil {
-		copy(out, m.wide[center*m.n:(center+1)*m.n])
+		copy(out, m.wide[base:base+len(out)])
 		return
 	}
-	row := m.d[center*m.n : (center+1)*m.n]
-	for v, d := range row {
+	for v, d := range m.d[base : base+len(out)] {
 		out[v] = int32(d)
 	}
 }

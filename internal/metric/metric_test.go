@@ -85,9 +85,8 @@ func TestDiameter(t *testing.T) {
 	if got := Diameter(tab, nil); got != 0 {
 		t.Errorf("empty Diameter = %d, want 0", got)
 	}
-	rows := []relation.Row{tab.Row(0), tab.Row(2)}
-	if got := DiameterRows(rows); got != 2 {
-		t.Errorf("DiameterRows = %d, want 2", got)
+	if got := Diameter(tab, []int{0, 2}); got != 2 {
+		t.Errorf("pair Diameter = %d, want 2", got)
 	}
 }
 

@@ -3,10 +3,12 @@
 // the ball family and greedy cover, the hierarchy count-tree walks and
 // the stream's blocks) resolves the count with Workers and runs the
 // work with For, so one policy decides how many goroutines a caller's
-// Workers value turns into.
+// Workers value turns into. A pool whose items start pools of their
+// own (the stream's blocks) divides its budget with Split.
 package par
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,6 +33,18 @@ func Workers(workers, items int) int {
 		workers = 1
 	}
 	return workers
+}
+
+// Split divides one Workers budget between a pool of items and the
+// pools each item's work starts inside it: outer is Workers(workers,
+// items), and inner, at least 1, is what the budget has left per outer
+// worker, so outer·inner never exceeds the resolved budget (0 or
+// negative means all CPUs, clamped to GOMAXPROCS). A budget of 1
+// gives 1 and 1: the whole nest runs sequentially.
+func Split(workers, items int) (outer, inner int) {
+	budget := Workers(workers, math.MaxInt)
+	outer = Workers(budget, items)
+	return outer, max(1, budget/outer)
 }
 
 // For runs fn(w, i) for every i in [0, n) on Workers(workers, n)

@@ -32,6 +32,41 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// TestSplit: the outer pool is what Workers gives the items, the inner
+// share is at least 1, and the nest never exceeds the resolved budget.
+// GOMAXPROCS is raised so budgets above 1 split on a single-CPU host
+// too.
+func TestSplit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0))))
+	procs := runtime.GOMAXPROCS(0)
+	all := min(runtime.NumCPU(), procs)
+	for _, tc := range []struct {
+		workers, items, outer, inner int
+	}{
+		{1, 100, 1, 1},
+		{1, 1, 1, 1},
+		{8, 100, 8, 1},
+		{8, 8, 8, 1},
+		{8, 3, 3, 2},
+		{8, 1, 1, 8},
+		{6, 4, 4, 1},
+		{7, 2, 2, 3},
+		{2, 0, 1, 2},
+		{math.MaxInt, 1, 1, procs},
+		{math.MaxInt, 1000, procs, 1},
+		{0, 1, 1, all},
+		{-5, 1000, all, 1},
+	} {
+		outer, inner := Split(tc.workers, tc.items)
+		if outer != tc.outer || inner != tc.inner {
+			t.Errorf("Split(%d, %d) = %d, %d, want %d, %d", tc.workers, tc.items, outer, inner, tc.outer, tc.inner)
+		}
+		if budget := Workers(tc.workers, math.MaxInt); outer*inner > budget {
+			t.Errorf("Split(%d, %d) = %d·%d, past the budget %d", tc.workers, tc.items, outer, inner, budget)
+		}
+	}
+}
+
 // TestForWorkersRunEveryIndexOnce: whatever the worker count, every
 // index runs exactly once, w stays below Workers(workers, n), and a
 // worker never runs two calls at once. GOMAXPROCS is raised so the

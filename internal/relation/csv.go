@@ -6,39 +6,6 @@ import (
 	"io"
 )
 
-// ReadCSV parses a table from CSV. The first record is the header and
-// becomes the schema; every subsequent record is interned as a row.
-// A cell equal to StarString is read back as a suppressed entry, so
-// ReadCSV(WriteCSV(t)) round-trips anonymized tables.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
-	}
-	if len(header) == 0 {
-		return nil, fmt.Errorf("relation: empty CSV header")
-	}
-	t := NewTable(NewSchema(header...))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("relation: reading CSV line %d: %w", line, err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("relation: CSV line %d has %d fields, want %d", line, len(rec), len(header))
-		}
-		if err := t.AppendStrings(rec...); err != nil {
-			return nil, fmt.Errorf("relation: CSV line %d: %w", line, err)
-		}
-	}
-	return t, nil
-}
-
 // ReadCSVRows parses a header + data rows table from CSV without
 // interning it into a Table — the shared codec behind cmd/kanon's file
 // handling and the server's job ingest, both of which hand plain string
@@ -108,23 +75,4 @@ func writeRecord(cw *csv.Writer, w io.Writer, rec []string) error {
 		return err
 	}
 	return cw.Write(rec)
-}
-
-// WriteCSV renders the table as CSV with a header row. Suppressed
-// entries render as StarString.
-func WriteCSV(w io.Writer, t *Table) error {
-	cw := csv.NewWriter(w)
-	if err := writeRecord(cw, w, t.Schema().Names()); err != nil {
-		return fmt.Errorf("relation: writing CSV header: %w", err)
-	}
-	for i := 0; i < t.Len(); i++ {
-		if err := writeRecord(cw, w, t.Strings(i)); err != nil {
-			return fmt.Errorf("relation: writing CSV row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("relation: flushing CSV: %w", err)
-	}
-	return nil
 }

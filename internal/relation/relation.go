@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -109,17 +110,6 @@ func (s *Schema) Names() []string {
 		out[i] = a.Name
 	}
 	return out
-}
-
-// ColumnIndex returns the index of the attribute with the given name, or
-// -1 if absent.
-func (s *Schema) ColumnIndex(name string) int {
-	for i, a := range s.attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Row is a single tuple: one symbol code per attribute. A code of Star
@@ -256,29 +246,44 @@ func (t *Table) Signature(i int) string {
 // RowSignature returns a canonical key for a row independent of any
 // table.
 func RowSignature(r Row) string {
-	var b strings.Builder
-	b.Grow(len(r) * 4)
+	var buf [64]byte // the key of a row of up to 16 small codes, on the stack
+	return string(appendSignature(buf[:0], r))
+}
+
+// appendSignature appends r's key to b: each code in decimal followed
+// by '|' (Star is "-1|"). Symbol codes are small, so the encoding is
+// canonical and cheap.
+func appendSignature(b []byte, r Row) []byte {
 	for _, c := range r {
-		// Symbol codes are small; a simple decimal encoding with a
-		// separator is canonical and cheap.
-		fmt.Fprintf(&b, "%d|", c)
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, '|')
 	}
-	return b.String()
+	return b
 }
 
 // GroupSizes returns, for each row index, the size of its
-// textual-equivalence class in the table.
+// textual-equivalence class in the table. Every row's Signature is
+// appended to one buffer and the keys are cut from one string, so the
+// keys cost two allocations, not one per row.
 func (t *Table) GroupSizes() []int {
+	buf := make([]byte, 0, len(t.rows)*(t.Degree()*3+1))
+	ends := make([]int, len(t.rows))
+	for i, r := range t.rows {
+		buf = appendSignature(buf, r)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
 	counts := make(map[string]int, len(t.rows))
-	keys := make([]string, len(t.rows))
-	for i := range t.rows {
-		k := t.Signature(i)
-		keys[i] = k
-		counts[k]++
+	start := 0
+	for _, end := range ends {
+		counts[all[start:end]]++
+		start = end
 	}
 	out := make([]int, len(t.rows))
-	for i, k := range keys {
-		out[i] = counts[k]
+	start = 0
+	for i, end := range ends {
+		out[i] = counts[all[start:end]]
+		start = end
 	}
 	return out
 }

@@ -2,6 +2,10 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,13 +54,13 @@ func TestSchemaBasics(t *testing.T) {
 	if s.Degree() != 4 {
 		t.Fatalf("Degree = %d, want 4", s.Degree())
 	}
-	if got := s.ColumnIndex("age"); got != 2 {
-		t.Errorf("ColumnIndex(age) = %d, want 2", got)
-	}
-	if got := s.ColumnIndex("zip"); got != -1 {
-		t.Errorf("ColumnIndex(zip) = %d, want -1", got)
-	}
 	names := s.Names()
+	if got := slices.Index(names, "age"); got != 2 {
+		t.Errorf("age is column %d, want 2", got)
+	}
+	if got := slices.Index(names, "zip"); got != -1 {
+		t.Errorf("zip is column %d, want -1 (absent)", got)
+	}
 	if strings.Join(names, ",") != "first,last,age,race" {
 		t.Errorf("Names = %v", names)
 	}
@@ -175,6 +179,40 @@ func TestGroupSizesAndKAnonymity(t *testing.T) {
 	}
 }
 
+// TestRowSignatureMatchesFmt pins the self-check key byte for byte to
+// its former fmt rendering, "%d|" per code, for Star, 0 and codes up
+// to MaxInt32, so GroupSizes, IsKAnonymous and core.FromAnonymized
+// keep grouping rows exactly as before.
+func TestRowSignatureMatchesFmt(t *testing.T) {
+	for _, r := range []Row{
+		{},
+		{Star},
+		{0},
+		{math.MaxInt32},
+		{Star, 0, 7, 1234567, math.MaxInt32, Star},
+	} {
+		var want strings.Builder
+		for _, c := range r {
+			fmt.Fprintf(&want, "%d|", c)
+		}
+		if got := RowSignature(r); got != want.String() {
+			t.Errorf("RowSignature(%v) = %q, want %q", r, got, want.String())
+		}
+	}
+	tab := NewTable(NewSchema("a", "b"))
+	for _, r := range []Row{{Star, 0}, {math.MaxInt32, Star}, {Star, 0}} {
+		if err := tab.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tab.Signature(1), "2147483647|-1|"; got != want {
+		t.Errorf("Signature(1) = %q, want %q", got, want)
+	}
+	if got := tab.GroupSizes(); !slices.Equal(got, []int{2, 1, 2}) {
+		t.Errorf("GroupSizes = %v, want [2 1 2]", got)
+	}
+}
+
 func TestSignatureDistinguishesStarFromValue(t *testing.T) {
 	tab := NewTable(NewSchema("a"))
 	if err := tab.AppendStrings("*"); err != nil {
@@ -244,17 +282,44 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// writeTable renders t as CSV through WriteCSVRows, as the CLI and the
+// service emit a release.
+func writeTable(w io.Writer, t *Table) error {
+	rows := make([][]string, t.Len())
+	for i := range rows {
+		rows[i] = t.Strings(i)
+	}
+	return WriteCSVRows(w, t.Schema().Names(), rows)
+}
+
+// readTable parses CSV through ReadCSVRows and interns the rows with
+// AppendStrings, as the facade builds its table from the CLI's and the
+// service's input; a StarString cell becomes a suppressed entry.
+func readTable(r io.Reader) (*Table, error) {
+	header, rows, err := ReadCSVRows(r)
+	if err != nil {
+		return nil, err
+	}
+	t := NewTable(NewSchema(header...))
+	for _, row := range rows {
+		if err := t.AppendStrings(row...); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tab := hospitalTable(t)
 	// Suppress an entry to check stars survive the round trip.
 	tab.Row(0)[0] = Star
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tab); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+	if err := writeTable(&buf, tab); err != nil {
+		t.Fatalf("WriteCSVRows: %v", err)
 	}
-	back, err := ReadCSV(&buf)
+	back, err := readTable(&buf)
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("ReadCSVRows: %v", err)
 	}
 	if back.Len() != tab.Len() || back.Degree() != tab.Degree() {
 		t.Fatalf("round trip changed shape: %dx%d vs %dx%d",
@@ -284,8 +349,8 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tc.in)); err == nil {
-				t.Errorf("ReadCSV(%q) succeeded, want error", tc.in)
+			if _, _, err := ReadCSVRows(strings.NewReader(tc.in)); err == nil {
+				t.Errorf("ReadCSVRows(%q) succeeded, want error", tc.in)
 			}
 		})
 	}
@@ -414,7 +479,7 @@ func TestCSVRowsLoneEmptyField(t *testing.T) {
 		}
 	}
 
-	// The Table writer takes the same path.
+	// An interned table's rendered rows take the same path.
 	tab := NewTable(NewSchema("h"))
 	for _, r := range rows {
 		if err := tab.AppendStrings(r...); err != nil {
@@ -422,10 +487,10 @@ func TestCSVRowsLoneEmptyField(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := WriteCSV(&buf, tab); err != nil {
+	if err := writeTable(&buf, tab); err != nil {
 		t.Fatal(err)
 	}
-	t2, err := ReadCSV(strings.NewReader(buf.String()))
+	t2, err := readTable(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

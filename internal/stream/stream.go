@@ -49,11 +49,15 @@ type Options struct {
 	// whose shape does not match its block (changed parameters, torn
 	// write) is ignored and the block is recomputed.
 	Checkpoint Checkpoint
-	// Workers bounds how many blocks are anonymized concurrently, as
-	// par.Workers resolves it: 0 (or negative) means all CPUs, counts
-	// are clamped to GOMAXPROCS and to the block count, and 1 forces
-	// the sequential path. Output and errors are identical for every
-	// worker count.
+	// Workers bounds every pool goroutine the pass starts, as
+	// par.Split divides it: blocks are anonymized concurrently on
+	// par.Workers(Workers, pending) workers, pending being the blocks
+	// a checkpoint does not already hold (0 or negative means all
+	// CPUs, counts are clamped to GOMAXPROCS and to that block count),
+	// and the default per-block algorithm gets what the budget has
+	// left per block worker, at least 1. So 1 forces the sequential
+	// path for the whole pass. Output and errors are identical for
+	// every worker count.
 	Workers int
 	// Kernel selects the distance-kernel backend of the default
 	// per-block algorithm (metric.Auto, Dense, or Bitset); ignored when
@@ -185,11 +189,12 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		}
 	}
 
-	workers := par.Workers(opt.Workers, len(bounds))
+	workers, blockWorkers := par.Split(opt.Workers, pending)
 
 	// Instrumentation: a "stream" span over the whole pass, one child
-	// span per block (opened by whichever worker claims it), a gauge for
-	// blocks not yet finished, and busy-time counters from which worker
+	// span per block (opened by whichever worker claims it), gauges for
+	// blocks not yet finished and for the block and per-block worker
+	// counts, and busy-time counters from which worker
 	// utilization falls out as busy_ns / (workers · wall_ns). All of it
 	// is nil-safe no-ops when opt.Trace is nil, and none of it touches
 	// the block results, so the release stays byte-identical.
@@ -206,6 +211,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 	sp.Counter("stream.blocks_resumed").Add(int64(len(bounds) - pending))
 	queue.Set(int64(pending))
 	sp.Gauge("stream.workers").Set(int64(workers))
+	sp.Gauge("stream.block_workers").Set(int64(blockWorkers))
 	passStart := time.Time{}
 	if sp != nil {
 		passStart = time.Now()
@@ -247,7 +253,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		if opt.Algo != nil {
 			r, err = opt.Algo(sub, k)
 		} else {
-			r, err = algo.GreedyBall(sub, k, &algo.Options{Ctx: ctx, Trace: bs, Kernel: opt.Kernel})
+			r, err = algo.GreedyBall(sub, k, &algo.Options{Ctx: ctx, Trace: bs, Kernel: opt.Kernel, Workers: blockWorkers})
 		}
 		if err != nil {
 			errs[bi] = fmt.Errorf("stream: block [%d,%d): %w", lo, hi, err)

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,6 +64,85 @@ func TestTraceDoesNotChangeRelease(t *testing.T) {
 				t.Errorf("workers gauge = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestBlockWorkersShareBudget: one Workers budget bounds the whole
+// pass. The block pool takes par.Workers of it over the blocks still to
+// run and each block's default algorithm the share par.Split leaves,
+// recorded as the stream.block_workers gauge next to stream.workers: 1
+// at Workers: 1, the whole budget for a single block. The cover.workers
+// gauge, set by every block's ball cover, shows that share is what the
+// cover's pools ran on. A resumed pass splits over its pending blocks
+// only, so its one recomputed block gets the whole budget. GOMAXPROCS
+// is raised so the budgets split on a single-CPU host too.
+func TestBlockWorkersShareBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	tab := traceCorpus(600)
+	run := func(opt *Options) (*Result, map[string]obs.GaugeStat) {
+		t.Helper()
+		tr := obs.New()
+		root := tr.Start("test")
+		opt.Trace = root
+		res, err := Anonymize(tab, 3, opt)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr.Snapshot().Gauges
+	}
+	check := func(name string, g map[string]obs.GaugeStat, outer, inner int) {
+		t.Helper()
+		if got := g["stream.workers"].Last; got != int64(outer) {
+			t.Errorf("%s: stream.workers = %d, want %d", name, got, outer)
+		}
+		if got := g["stream.block_workers"].Last; got != int64(inner) {
+			t.Errorf("%s: stream.block_workers = %d, want %d", name, got, inner)
+		}
+		if got := g["cover.workers"]; got.Last != int64(inner) || got.Max != int64(inner) {
+			t.Errorf("%s: block covers ran on %d (at most %d) workers, want %d", name, got.Last, got.Max, inner)
+		}
+	}
+	for _, blockRows := range []int{100, 600} {
+		var want string
+		for _, workers := range []int{1, 2, 4, 0, math.MaxInt} {
+			res, g := run(&Options{BlockRows: blockRows, Workers: workers})
+			name := fmt.Sprintf("blocks=%d workers=%d", res.Blocks, workers)
+			outer, inner := par.Split(workers, res.Blocks)
+			check(name, g, outer, inner)
+			if budget := par.Workers(workers, math.MaxInt); outer*inner > budget {
+				t.Errorf("%s: %d block workers of %d each, past the budget %d", name, outer, inner, budget)
+			}
+			if workers == 1 && inner != 1 {
+				t.Errorf("%s: Workers: 1 runs each block on %d workers", name, inner)
+			}
+			if res.Blocks == 1 && inner != par.Workers(workers, math.MaxInt) {
+				t.Errorf("%s: the single block gets %d workers, not the whole budget", name, inner)
+			}
+			if got := res.Anonymized.String(); want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: release differs from Workers: 1", name)
+			}
+		}
+	}
+
+	// Resume with one of six blocks lost: it runs alone, on all 4.
+	full := newMemCheckpoint()
+	clean, _ := run(&Options{BlockRows: 100, Workers: 1, Checkpoint: full})
+	partial := newMemCheckpoint()
+	for key, b := range full.blocks {
+		if key[0] != 200 {
+			partial.blocks[key] = b
+		}
+	}
+	res, g := run(&Options{BlockRows: 100, Workers: 4, Checkpoint: partial})
+	if res.BlocksResumed != clean.Blocks-1 {
+		t.Fatalf("resumed %d of %d blocks, want %d", res.BlocksResumed, clean.Blocks, clean.Blocks-1)
+	}
+	check("resumed", g, 1, 4)
+	if res.Anonymized.String() != clean.Anonymized.String() {
+		t.Error("resumed release differs from the uninterrupted one")
 	}
 }
 
