@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"kanon/internal/metric"
 	"kanon/internal/obs"
@@ -33,20 +34,22 @@ import (
 // best ratio therefore yields the true global minimum once the popped
 // center's recomputed key is no worse than the next key in the queue.
 //
-// The count build is sharded across workers by center and the
-// per-pick updates by chunks of updateChunk centers, through par.For
-// (par.Workers resolves the count: 0 means all CPUs, 1 forces the
-// sequential path); each center's counts are written by one worker at
-// a time and the greedy selection itself is sequential, so the chosen
-// cover is byte-identical for every worker count. The context is
-// checked once per center during the build, once per chunk during
-// each update, and once per selection round, so covers over large
-// tables abort promptly when the caller cancels or times out; the
-// returned error wraps ctx.Err(). Instrumentation attaches under sp
-// (nil disables it): child spans for the two phases
-// ("cover.neighbor-order" for the count build, "cover.greedy" for the
-// selection loop), a gauge of the workers the pools run on
-// (cover.workers), and counters for greedy rounds run
+// The count build is sharded across workers by tile pair of the
+// distance triangle (flat tables) or by center (sparse histograms),
+// and the per-pick updates by chunks of updateChunk centers, through
+// par.For (par.Workers resolves the count: 0 means all CPUs, 1 forces
+// the sequential path). Tasks that share a tile add their counts under
+// its lock, each center's uncovered counts are written by one worker
+// at a time, and the greedy selection itself is sequential; the counts
+// are integer sums, so the chosen cover is byte-identical for every
+// worker count. The context is checked once per center of each build
+// task, once per chunk during each update, and once per selection
+// round, so covers over large tables abort promptly when the caller
+// cancels or times out; the returned error wraps ctx.Err().
+// Instrumentation attaches under sp (nil disables it): child spans for
+// the two phases ("cover.neighbor-order" for the count build,
+// "cover.greedy" for the selection loop), a gauge of the workers the
+// pools run on (cover.workers), and counters for greedy rounds run
 // (cover.greedy_rounds), center evaluations (cover.balls_considered),
 // and sets picked (cover.sets_picked). Tracing never changes the
 // chosen cover.
@@ -62,12 +65,7 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	cs := newBallCounts(mat, workers)
 	sp.Gauge("cover.workers").Set(int64(len(cs.ws)))
 	ns := sp.Start("cover.neighbor-order")
-	par.For(n, len(cs.ws), func(w, c int) {
-		if ctx.Err() != nil {
-			return // drain remaining centers cheaply; checked below
-		}
-		cs.build(w, c)
-	})
+	cs.build(ctx)
 	ns.End()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cover: neighbor order: %w", err)
@@ -173,10 +171,11 @@ func GreedyBallsCtx(ctx context.Context, mat metric.Kernel, k, workers int, sp *
 	return chosen, nil
 }
 
-// updateChunk is the number of consecutive centers one per-pick update
-// call covers: each covered row's distances to them are one ranged
-// fill, and their uncovered counts (a few KB under Hamming) stay in
-// cache while the rows stream past.
+// updateChunk is the number of consecutive rows in one tile of the
+// flat count build and in one chunk of a per-pick update. A center's
+// distances to a tile, or a covered row's to a chunk of centers, are
+// one ranged fill, and the tile's or chunk's counts (a few KB under
+// Hamming) stay in cache while the rows stream past.
 const updateChunk = 256
 
 // ballCounts holds, for every center, the number of rows and of
@@ -189,11 +188,13 @@ const updateChunk = 256
 //     one fixed-width row per center indexed by distance. They take
 //     8·n·(MaxDist+1) bytes, less than the sparse layout's
 //     n·min(n, MaxDist+1) buckets of 12 bytes, and at most
-//     8·flatMaxWidth bytes a center. A center is evaluated over its
-//     row's nonempty slots, and a pick streams each covered row's
-//     distances to a chunk of centers through one ranged DistRow,
-//     adding ±1 at unc[c][d]; no pair pays an interface call or a
-//     bucket search.
+//     8·flatMaxWidth bytes a center. They are built over the tile
+//     pairs of the distance triangle, so each unordered pair is
+//     computed once and counted for both its rows. A center is
+//     evaluated over its row's nonempty slots, and a pick streams each
+//     covered row's distances to a chunk of centers through one ranged
+//     DistRow, adding ±1 at unc[c][d]; no pair pays an interface call
+//     or a bucket search.
 //   - sparse, otherwise: per center, a histogram of its distinct
 //     distances in ascending order, which an update searches for each
 //     covered row's bucket. A weighted metric can range far past n,
@@ -209,6 +210,16 @@ type ballCounts struct {
 	unc   []int32 // unc[c*width+d]: those of them still uncovered
 	hist  [][]distBucket
 	ws    []histWorker // one per pool worker
+	sums  *tileSums    // the flat build's shared tiles; nil on one worker
+}
+
+// tileSums is what the flat build's tile-pair tasks need when they run
+// on more than one worker, where two of them can share a tile: each
+// worker counts a pair into its own two tile-sized rows of local, then
+// adds them to tot under each tile's lock.
+type tileSums struct {
+	locks []sync.Mutex // one per tile
+	local []int32      // 2·updateChunk·width slots per worker
 }
 
 // flatMaxWidth caps the slots a center's row takes in the flat count
@@ -244,19 +255,106 @@ func newBallCounts(mat metric.Kernel, workers int) *ballCounts {
 	return cs
 }
 
-// build counts center c's distance row on worker w.
-func (cs *ballCounts) build(w, c int) {
-	row := cs.ws[w].row
-	fillRow(cs.mat, c, 0, row)
+// build counts every center's distances, polling ctx once per center
+// of each task; a cancelled build leaves the counts incomplete, and the
+// caller checks ctx afterwards. The sparse histograms are built by
+// center, one full distance row each; the flat tables by tile pair
+// (see countPair), after which unc starts as a copy of tot.
+func (cs *ballCounts) build(ctx context.Context) {
+	n := cs.mat.Len()
 	if cs.width == 0 {
-		cs.hist[c] = cs.ws[w].histogram(row)
+		par.For(n, len(cs.ws), func(w, c int) {
+			if ctx.Err() != nil {
+				return // drain remaining centers cheaply
+			}
+			row := cs.ws[w].row
+			fillRow(cs.mat, c, 0, row)
+			cs.hist[c] = cs.ws[w].histogram(row)
+		})
 		return
 	}
-	tot := cs.tot[c*cs.width : (c+1)*cs.width]
-	for _, d := range row {
-		tot[d]++
+	tiles := (n + updateChunk - 1) / updateChunk
+	pairs := tiles * (tiles + 1) / 2
+	workers := par.Workers(len(cs.ws), pairs)
+	if workers > 1 {
+		cs.sums = &tileSums{
+			locks: make([]sync.Mutex, tiles),
+			local: make([]int32, workers*2*updateChunk*cs.width),
+		}
 	}
-	copy(cs.unc[c*cs.width:], tot)
+	par.For(pairs, workers, func(w, p int) { cs.countPair(ctx, w, p) })
+	copy(cs.unc, cs.tot)
+}
+
+// countPair counts, on worker w, the p-th tile pair (i, j) in
+// row-major order over i ≤ j: the distances between the centers of
+// tile i and the rows of tile j. Each center fills its distances to
+// tile j, only to the rows after it when j = i, with one ranged fill,
+// and each distance d(c, v) counts at tot[c][d] and, the metric being
+// symmetric, at tot[v][d]; each center counts its own zero on the
+// diagonal. On one worker the counts go straight into tot; otherwise
+// the worker counts into its two tile-sized rows of cs.sums.local and
+// adds them to tot under each tile's lock, so tasks that share a tile
+// never race, and the sums, being integer, do not depend on their
+// order.
+func (cs *ballCounts) countPair(ctx context.Context, w, p int) {
+	n, width := cs.mat.Len(), cs.width
+	i, tiles := 0, (n+updateChunk-1)/updateChunk
+	for p >= tiles-i {
+		p -= tiles - i
+		i++
+	}
+	j := i + p
+	i0, i1 := i*updateChunk, min((i+1)*updateChunk, n)
+	j0, j1 := j*updateChunk, min((j+1)*updateChunk, n)
+	ti, tj := cs.tot[i0*width:i1*width], cs.tot[j0*width:j1*width]
+	if cs.sums != nil {
+		local := cs.sums.local[w*2*updateChunk*width:]
+		ti = local[:len(ti)]
+		if j == i {
+			tj = ti
+		} else {
+			tj = local[updateChunk*width:][:len(tj)]
+		}
+		clear(ti)
+		clear(tj)
+	}
+	row := cs.ws[w].row
+	for c := i0; c < i1; c++ {
+		if ctx.Err() != nil {
+			return // the counts are discarded; checked by the caller
+		}
+		tc := ti[(c-i0)*width:][:width]
+		lo := j0
+		if j == i {
+			lo = c + 1
+			tc[0]++
+		}
+		dist := row[:j1-lo]
+		fillRow(cs.mat, c, lo, dist)
+		off := (lo - j0) * width
+		for _, d := range dist {
+			tc[d]++
+			tj[off+int(d)]++
+			off += width
+		}
+	}
+	if cs.sums == nil {
+		return
+	}
+	addUnder(&cs.sums.locks[i], cs.tot[i0*width:i1*width], ti)
+	if j != i {
+		addUnder(&cs.sums.locks[j], cs.tot[j0*width:j1*width], tj)
+	}
+}
+
+// addUnder adds src into dst while holding mu.
+func addUnder(mu *sync.Mutex, dst, src []int32) {
+	mu.Lock()
+	for x, t := range src {
+		dst[x] += t
+	}
+	mu.Unlock()
 }
 
 // best returns center c's minimum-ratio ball against the current

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -81,6 +82,7 @@ func TestGreedyBallsCancelAtEveryPoll(t *testing.T) {
 	}{
 		{"census/sequential", metric.NewMatrix(dataset.Census(rand.New(rand.NewSource(8)), 40, 4)), 2, 1},
 		{"two-groups/sharded", bitKernel(t, twoGroupTable(rand.New(rand.NewSource(9)), 200)), 3, 2},
+		{"two-groups/tile-pairs", bitKernel(t, twoGroupTable(rand.New(rand.NewSource(10)), 600)), 3, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,6 +141,47 @@ func TestGreedyBallsHugeWorkerCount(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 		t.Errorf("allocated %d bytes at workers = MaxInt, want at most %d", alloc, 4<<20)
+	}
+}
+
+// TestGreedyBallsCountBuild runs the flat count build alone on census
+// tables that end just before, on and just past a tile edge and on a
+// ragged last tile, under the dense and bitset kernels and one without
+// a ranged fill, on 1, 2, 3 and MaxInt workers: every center's tot row
+// must be the histogram of its full distance row, and unc must equal
+// tot. Tables too small for the layout rule to pick the flat tables
+// get them anyway.
+func TestGreedyBallsCountBuild(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	for _, n := range []int{1, 2, 255, 256, 257, 511, 700} {
+		tab := dataset.Census(rand.New(rand.NewSource(int64(n))), n, 8)
+		bit := bitKernel(t, tab)
+		kernels := map[string]metric.Kernel{"dense": metric.NewMatrix(tab), "bitset": bit, "pairwise": pairwiseKernel{bit}}
+		for name, kern := range kernels {
+			width := kern.MaxDist() + 1
+			want := make([]int32, n*width)
+			for c := range n {
+				for v := range n {
+					want[c*width+kern.Dist(c, v)]++
+				}
+			}
+			for _, workers := range []int{1, 2, 3, math.MaxInt} {
+				cs := newBallCounts(kern, workers)
+				if cs.width == 0 {
+					cs.width, cs.hist = width, nil
+					cs.tot, cs.unc = make([]int32, n*width), make([]int32, n*width)
+				}
+				cs.build(context.Background())
+				for c := range n {
+					if got, row := cs.tot[c*width:(c+1)*width], want[c*width:(c+1)*width]; !slices.Equal(got, row) {
+						t.Fatalf("n=%d %s workers=%d: center %d counts %v, its distance row holds %v", n, name, workers, c, got, row)
+					}
+				}
+				if !slices.Equal(cs.unc, cs.tot) {
+					t.Fatalf("n=%d %s workers=%d: unc differs from tot", n, name, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -115,68 +115,8 @@ const (
 	WeightTrueDiameter
 )
 
-// BallsWitness builds the paper's alternative collection: for every
-// ordered pair (c, c') the set S_{c,c'} = {v : d(c, v) ≤ d(c, c')},
-// restricted to sets with at least k members and deduplicated per
-// center. The paper advises choosing between this and the radius form
-// by size; TestWitnessFamilyEqualsRadiusFamily shows the two families
-// are identical once degenerate radii are removed, so the advice is
-// moot — this constructor exists to substantiate that claim and for the
-// E10 ablation.
-//
-// Centers are independent, so per-center results are computed across
-// workers (0 means all CPUs, 1 forces the sequential path) and
-// concatenated in center order — the output is identical for every
-// worker count.
-func BallsWitness(mat metric.Kernel, k int, w BallWeight, workers int) ([]Set, error) {
-	n := mat.Len()
-	if k < 1 {
-		return nil, fmt.Errorf("cover: k = %d < 1", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("cover: n = %d < k = %d", n, k)
-	}
-	perCenter := make([][]Set, n)
-	par.For(n, workers, func(_, c int) {
-		var out []Set
-		seen := map[int]bool{} // realized radii already emitted for c
-		for w2 := 0; w2 < n; w2++ {
-			r := mat.Dist(c, w2)
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
-			members := mat.Ball(c, r)
-			if len(members) < k {
-				continue
-			}
-			// Effective radius: largest realized distance within the
-			// ball (matches BallsCtx's weight convention).
-			eff := 0
-			for _, v := range members {
-				if d := mat.Dist(c, v); d > eff {
-					eff = d
-				}
-			}
-			if eff != r {
-				// A larger witness distance yields the same member set;
-				// skip the duplicate (the set will be emitted at its
-				// effective radius).
-				continue
-			}
-			weight := 2 * eff
-			if w == WeightTrueDiameter {
-				weight = mat.Diameter(members)
-			}
-			out = append(out, Set{Members: members, Weight: weight})
-		}
-		perCenter[c] = out
-	})
-	return mergeCenters(perCenter), nil
-}
-
 // mergeCenters concatenates per-center set slices in center order — the
-// deterministic merge that makes the sharded builders emit exactly the
+// deterministic merge that makes the sharded builder emit exactly the
 // sequential order.
 func mergeCenters(perCenter [][]Set) []Set {
 	total := 0
@@ -198,9 +138,10 @@ func mergeCenters(perCenter [][]Set) []Set {
 // coincides with the paper's alternative formulation S_{c,c'} = {v :
 // d(c, v) ≤ d(c, c')} (plus the radius-0 ball of exact duplicates): a
 // ball changes only at realized distances, so enumerating realized radii
-// and enumerating witnesses c' produce the same sets. The paper's advice
-// to "substitute whichever collection is smaller" is therefore moot
-// after deduplication — E10 confirms.
+// and enumerating witnesses c' produce the same sets
+// (TestWitnessFamilyEqualsRadiusFamily checks it against a witness
+// builder). The paper's advice to "substitute whichever collection is
+// smaller" is therefore moot after deduplication — E10 confirms.
 //
 // Each center's balls are built by the counting-sort radius kernel
 // (ballsForCenter) on one worker (workers: 0 means all CPUs, 1 forces

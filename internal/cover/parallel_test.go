@@ -41,27 +41,6 @@ func TestBallsParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestBallsWitnessParallelDeterministic(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		rng := rand.New(rand.NewSource(seed))
-		tab := dataset.Census(rng, 60, 6)
-		mat := metric.NewMatrix(tab)
-		seq, err := BallsWitness(mat, 3, WeightRadiusBound, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 3, 5} {
-			par, err := BallsWitness(mat, 3, WeightRadiusBound, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("seed=%d workers=%d: witness family differs from sequential", seed, workers)
-			}
-		}
-	}
-}
-
 func TestGreedyBallsParallelDeterministic(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		for _, n := range []int{25, 90} {

@@ -41,8 +41,9 @@ type Kernel interface {
 // with one center's distances to the consecutive rows lo, lo+1, …,
 // out[i] = d(center, lo+i), in a single pass (lo+len(out) ≤ Len()).
 // The cover package uses it via type assertion, for whole rows
-// (lo = 0, len(out) = Len()) and for a chunk of centers at a time;
-// kernels without it are queried pairwise.
+// (lo = 0, len(out) = Len()), for a center's distances to one tile of
+// rows or to the rows after it within its own tile, and for a chunk
+// of centers at a time; kernels without it are queried pairwise.
 type RowFiller interface {
 	DistRow(center, lo int, out []int32)
 }
