@@ -166,14 +166,22 @@ func TestReplicatedFailoverByteIdentical(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Give the pull loops one more interval so survivors hold a replica
-	// that includes at least the early checkpoints, then kill.
-	time.Sleep(300 * time.Millisecond)
+	// Kill as soon as a survivor's pull loop holds a replicated
+	// checkpoint of the job, so the steal resumes from a replica.
 	replicated := 0
-	for id, dir := range dirs {
-		if id != victim.id {
-			replicated += len(statFiles(t, dir, streamJob.ID))
+	for replicated == 0 {
+		if n := len(statFiles(t, dirs[victim.id], streamJob.ID)); n >= totalBlocks {
+			t.Fatalf("job finished all %d blocks before the kill; enlarge the instance", totalBlocks)
 		}
+		for id, dir := range dirs {
+			if id != victim.id {
+				replicated += len(statFiles(t, dir, streamJob.ID))
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no survivor replicated a checkpoint of the job")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := victim.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)

@@ -51,11 +51,14 @@ type Options struct {
 	// worker count.
 	Workers int
 	// Kernel selects the distance-kernel backend: metric.Auto (the
-	// zero value) picks dense below metric.AutoBitsetThreshold rows and
-	// the matrix-free bitset kernel at or above it; metric.Dense and
-	// metric.Bitset force a backend. Results are byte-identical for
-	// every choice — only time and memory change. Ignored when Weights
-	// is set: the weighted metric is always a dense matrix.
+	// zero value) picks the matrix-free bitset kernel for GreedyBall's
+	// lazy cover at every size; for GreedyExhaustive and the
+	// materialized ball family it picks dense below
+	// metric.AutoBitsetThreshold rows and bitset at or above it.
+	// metric.Dense and metric.Bitset force a backend. Results are
+	// byte-identical for every choice — only time and memory change.
+	// Ignored when Weights is set: the weighted metric is always a
+	// dense matrix.
 	Kernel metric.Choice
 	// Weights prices each column's suppressed entries; nil means all
 	// ones, the paper's objective. When set, the distance kernel is the
@@ -114,7 +117,7 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if r, done := trivialResult(t, k); done {
 		return r, nil
 	}
-	mat, err := buildKernel(t, opt)
+	mat, err := buildKernel(t, opt, opt.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +145,14 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 
 // GreedyBall is the algorithm of Theorem 4.2. With Options.Weights set
 // it runs under column-weighted suppression costs (see Weights).
+//
+// At Kernel metric.Auto the lazy cover runs matrix-free at every size:
+// it reads its distances as rows through DistRow, which the bitset
+// kernel computes at least as fast as the dense Matrix copies them, and
+// the rest of the pass only sums the diameters within each group, so a
+// dense fill would cost O(n²·m) time and n² cells for nothing. The
+// materialized family (MaterializeBalls, TrueDiameterWeights) looks
+// distances up pair by pair, and keeps Auto's size rule.
 func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if opt == nil {
 		opt = &Options{}
@@ -153,7 +164,12 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if r, done := trivialResult(t, k); done {
 		return r, nil
 	}
-	mat, err := buildKernel(t, opt)
+	materialize := opt.MaterializeBalls || opt.TrueDiameterWeights
+	kernel := opt.Kernel
+	if kernel == metric.Auto && opt.Weights == nil && !materialize {
+		kernel = metric.Bitset
+	}
+	mat, err := buildKernel(t, opt, kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +179,7 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	start := time.Now()
 	cs := opt.Trace.Start("algo.cover")
 	var chosen []cover.Set
-	if opt.MaterializeBalls || opt.TrueDiameterWeights {
+	if materialize {
 		w := cover.WeightRadiusBound
 		if opt.TrueDiameterWeights {
 			w = cover.WeightTrueDiameter
@@ -189,12 +205,12 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 
 // buildKernel constructs the distance kernel under the phase span: the
 // dense weighted matrix when Options.Weights is set, otherwise the
-// backend selected by Options.Kernel. It reports the int16→int32
+// backend selected by kernel. It reports the int16→int32
 // widening fallback of the dense path as an anomaly event when it
 // fires and counts which backend ran. Construction polls the Options
 // context (per row on the dense fill, per row block on the bitset
 // packing), so a cancelled run aborts its heaviest phase promptly.
-func buildKernel(t *relation.Table, opt *Options) (metric.Kernel, error) {
+func buildKernel(t *relation.Table, opt *Options, kernel metric.Choice) (metric.Kernel, error) {
 	opt.Log.PhaseStart("matrix")
 	var start time.Time
 	if opt.Log.Enabled() {
@@ -206,7 +222,7 @@ func buildKernel(t *relation.Table, opt *Options) (metric.Kernel, error) {
 	if opt.Weights != nil {
 		kern, err = core.WeightedMatrixCtx(opt.ctx(), t, opt.Weights, opt.Workers)
 	} else {
-		kern, err = metric.NewKernelCtx(opt.ctx(), t, opt.Kernel, opt.Workers)
+		kern, err = metric.NewKernelCtx(opt.ctx(), t, kernel, opt.Workers)
 	}
 	ms.End()
 	if err != nil {

@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 
+	"kanon/internal/core"
 	"kanon/internal/dataset"
 	"kanon/internal/metric"
+	"kanon/internal/obs"
 )
 
 // TestKernelByteIdentity pins the algo layer's half of the cross-kernel
@@ -47,6 +49,52 @@ func TestKernelByteIdentity(t *testing.T) {
 	}
 	if got.Cost != want.Cost {
 		t.Errorf("exhaustive: bitset cost %d, want %d", got.Cost, want.Cost)
+	}
+}
+
+// TestGreedyBallAutoKernelRule pins GreedyBall's kernel rule: at
+// metric.Auto the lazy cover builds the bitset kernel even below
+// metric.AutoBitsetThreshold and releases the bytes Kernel: Dense
+// does, while column weights and the materialized family (which look
+// distances up pair by pair) still build the dense matrix there.
+func TestGreedyBallAutoKernelRule(t *testing.T) {
+	tab := dataset.Census(rand.New(rand.NewSource(12)), 200, 6)
+	if tab.Len() >= metric.AutoBitsetThreshold {
+		t.Fatalf("table of %d rows is not below the threshold", tab.Len())
+	}
+	run := func(opt Options) (*Result, map[string]int64) {
+		t.Helper()
+		tr := obs.New()
+		root := tr.Start("run")
+		opt.Trace = root
+		res, err := GreedyBall(tab, 3, &opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		return res, tr.Snapshot().Counters
+	}
+	want, _ := run(Options{Kernel: metric.Dense})
+	got, counters := run(Options{})
+	if counters["algo.kernel_bitset"] != 1 || counters["algo.kernel_dense"] != 0 {
+		t.Errorf("lazy cover at Auto: kernel counters %v, want one bitset build", counters)
+	}
+	if got.Cost != want.Cost {
+		t.Errorf("lazy cover at Auto: cost %d, Kernel: Dense %d", got.Cost, want.Cost)
+	}
+	for i := 0; i < tab.Len(); i++ {
+		if !got.Anonymized.Row(i).Equal(want.Anonymized.Row(i)) {
+			t.Fatalf("lazy cover at Auto: row %d differs from Kernel: Dense", i)
+		}
+	}
+	for name, opt := range map[string]Options{
+		"weights":             {Weights: core.Weights{2, 1, 1, 1, 1, 1}},
+		"materialize":         {MaterializeBalls: true},
+		"truediameterweights": {TrueDiameterWeights: true},
+	} {
+		if _, counters := run(opt); counters["algo.kernel_dense"] != 1 || counters["algo.kernel_bitset"] != 0 {
+			t.Errorf("%s at Auto: kernel counters %v, want one dense build", name, counters)
+		}
 	}
 }
 

@@ -22,41 +22,88 @@ import (
 // slot range, so the number of agreeing columns is the popcount of the
 // AND of the two rows' words. Columns whose slot range would exceed
 // maxOnehotWidth bits (high-cardinality attributes, e.g. near-unique
-// identifiers) would bloat every row's bitset; they fall back to a
-// packed row-major int32 code array compared directly.
+// identifiers) would bloat every row's bitset; they fall back to codes
+// packed into equal-width lanes of 8, 16 or 32 bits, several columns a
+// word, compared a word at a time.
 type BitKernel struct {
 	n, m int
 	// One-hot block: words uint64s per row, covering onehotCols columns.
 	words      int
 	onehotCols int
 	onehot     []uint64
-	// Packed fallback: packedCols high-cardinality columns, row-major.
+	// Packed fallback: packedCols high-cardinality columns, a code v
+	// stored as v+1 (Star is the zero lane) in a lane of lanes.width
+	// bits, pwords words per row.
 	packedCols int
-	packed     []int32
+	pwords     int
+	lanes      codeLanes
+	packed     []uint64
+}
+
+// codeLanes is the layout of the packed fallback's words: per lanes of
+// width bits each; top holds every lane's top bit and low its other
+// bits.
+type codeLanes struct {
+	width    uint
+	per      int
+	top, low uint64
+}
+
+// newCodeLanes picks the narrowest lane width of 8, 16 and 32 bits that
+// holds v+1 for every code v < sigma.
+func newCodeLanes(sigma int) codeLanes {
+	width := uint(8)
+	for uint64(sigma) >= 1<<width {
+		width *= 2
+	}
+	all := uint64(1)<<width - 1
+	top := ^uint64(0) / all << (width - 1)
+	return codeLanes{width: width, per: 64 / int(width), top: top, low: ^top}
+}
+
+// differ counts the nonzero lanes of x, the columns on which the two
+// XORed words disagree.
+func (l codeLanes) differ(x uint64) int {
+	return bits.OnesCount64(((x & l.low) + l.low | x) & l.top)
 }
 
 // maxOnehotWidth caps the bit-slot range of a one-hot column
 // (|alphabet|+1 slots). One word per column keeps the per-row bitset at
-// most m words; wider columns cost less as 4-byte packed codes.
+// most m words; wider columns cost less as packed lanes.
 const maxOnehotWidth = 64
 
 // NewBitKernelCtx packs the rows of t into a matrix-free kernel. The
 // O(n·m) packing pass polls ctx every 1024 rows; the returned error
 // wraps ctx.Err().
+//
+// A column's alphabet is its schema's, widened to cover every code its
+// rows hold: rows appended with AppendRow are not interned, so their
+// codes may run past the schema's alphabet, and the kernel prices them
+// as the dense Matrix does.
 func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error) {
 	n, m := t.Len(), t.Degree()
 	b := &BitKernel{n: n, m: m}
 	sch := t.Schema()
+	sigma := make([]int, m)
+	for j := range sigma {
+		sigma[j] = sch.Attribute(j).AlphabetSize()
+	}
+	for _, row := range t.Rows() {
+		for j, v := range row {
+			sigma[j] = max(sigma[j], int(v)+1)
+		}
+	}
 	var onehotIdx, packedIdx []int
 	offsets := make([]int, 0, m) // bit offset of each one-hot column's slot 0
-	bitWidth := 0
+	bitWidth, packedSigma := 0, 0
 	for j := 0; j < m; j++ {
-		if w := sch.Attribute(j).AlphabetSize() + 1; w <= maxOnehotWidth {
+		if w := sigma[j] + 1; w <= maxOnehotWidth {
 			onehotIdx = append(onehotIdx, j)
 			offsets = append(offsets, bitWidth)
 			bitWidth += w
 		} else {
 			packedIdx = append(packedIdx, j)
+			packedSigma = max(packedSigma, sigma[j])
 		}
 	}
 	b.onehotCols = len(onehotIdx)
@@ -64,7 +111,9 @@ func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error)
 	b.words = (bitWidth + 63) / 64
 	b.onehot = make([]uint64, n*b.words)
 	if b.packedCols > 0 {
-		b.packed = make([]int32, n*b.packedCols)
+		b.lanes = newCodeLanes(packedSigma)
+		b.pwords = (b.packedCols + b.lanes.per - 1) / b.lanes.per
+		b.packed = make([]uint64, n*b.pwords)
 	}
 	for i := 0; i < n; i++ {
 		if i&1023 == 0 {
@@ -78,15 +127,16 @@ func NewBitKernelCtx(ctx context.Context, t *relation.Table) (*BitKernel, error)
 			slot := offsets[c] + slotOf(row[j])
 			w[slot>>6] |= 1 << (slot & 63)
 		}
+		pw := b.packed[i*b.pwords : (i+1)*b.pwords]
 		for c, j := range packedIdx {
-			b.packed[i*b.packedCols+c] = row[j]
+			pw[c/b.lanes.per] |= uint64(slotOf(row[j])) << (uint(c%b.lanes.per) * b.lanes.width)
 		}
 	}
 	return b, nil
 }
 
-// slotOf maps a symbol code to its bit slot within the column's range:
-// Star to slot 0, code c to slot c+1.
+// slotOf maps a symbol code to its bit slot within the column's range,
+// and to its value in a packed lane: Star to 0, code c to c+1.
 func slotOf(code int32) int {
 	if code == relation.Star {
 		return 0
@@ -101,8 +151,8 @@ func slotOf(code int32) int {
 func (b *BitKernel) Len() int { return b.n }
 
 // Dist returns d(row i, row j): the one-hot columns contribute
-// onehotCols − popcount(AND of the rows' words), the packed columns a
-// direct disagreement count.
+// onehotCols − popcount(AND of the rows' words), the packed columns the
+// number of lanes on which the rows' words differ.
 func (b *BitKernel) Dist(i, j int) int {
 	d := b.onehotCols
 	if b.words > 0 {
@@ -114,13 +164,11 @@ func (b *BitKernel) Dist(i, j int) int {
 		}
 		d -= agree
 	}
-	if b.packedCols > 0 {
-		pu := b.packed[i*b.packedCols : (i+1)*b.packedCols]
-		pv := b.packed[j*b.packedCols : (j+1)*b.packedCols : (j+1)*b.packedCols]
-		for c, x := range pu {
-			if x != pv[c] {
-				d++
-			}
+	if p := b.pwords; p > 0 {
+		pu := b.packed[i*p : (i+1)*p]
+		pv := b.packed[j*p : (j+1)*p : (j+1)*p]
+		for q, x := range pu {
+			d += b.lanes.differ(x ^ pv[q])
 		}
 	}
 	return d
@@ -151,14 +199,14 @@ func (b *BitKernel) DistRow(center, lo int, out []int32) {
 			}
 		}
 	}
-	if p := b.packedCols; p > 0 {
+	if p := b.pwords; p > 0 {
 		pu := b.packed[center*p : (center+1)*p]
 		for v := range out {
-			for j, x := range b.packed[(lo+v)*p : (lo+v+1)*p] {
-				if x != pu[j] {
-					out[v]++
-				}
+			d := 0
+			for q, x := range b.packed[(lo+v)*p : (lo+v+1)*p] {
+				d += b.lanes.differ(x ^ pu[q])
 			}
+			out[v] += int32(d)
 		}
 	}
 }

@@ -13,7 +13,10 @@ import (
 // every cell, including stars — then cross-checks the matrix-free
 // kernel against the row-wise Distance definition and the dense Matrix
 // on all pairs, plus one ranged DistRow, one Ball and one KthNearest
-// query. Any
+// query. Up to three more rows are appended with AppendRow, which does
+// not intern: their codes run up to span past each column's alphabet,
+// so a column's one-hot slot range can cross the 64-slot cap or stay
+// under it, as a block's rows can hold codes its schema never saw. Any
 // disagreement is a found bug: the kernels are specified to be
 // byte-identical.
 func FuzzBitKernel(f *testing.F) {
@@ -21,6 +24,8 @@ func FuzzBitKernel(f *testing.F) {
 	f.Add([]byte{5, 1, 200, 9, 8, 7, 6, 5})
 	f.Add([]byte("\x04\x03**any bytes at all**"))
 	f.Add([]byte{})
+	f.Add([]byte{1, 1, 2, 3, 1, 2, 3, 4, 3, 69, 69, 1, 2, 68, 5, 6})
+	f.Add([]byte{1, 1, 2, 3, 1, 2, 3, 4, 3, 9, 9, 1, 2, 8, 5, 6, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -56,6 +61,21 @@ func FuzzBitKernel(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		extra, span := int(next())%4, 1+int(next())%80
+		for i := 0; i < extra; i++ {
+			row := make(relation.Row, m)
+			for j := range row {
+				if v := next(); v%7 == 0 {
+					row[j] = relation.Star
+				} else {
+					row[j] = int32(tab.Schema().Attribute(j).AlphabetSize() + int(v)%span)
+				}
+			}
+			if err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n = tab.Len()
 
 		bit, err := NewBitKernelCtx(context.Background(), tab)
 		if err != nil {

@@ -54,7 +54,10 @@ type Choice int
 const (
 	// Auto picks Dense below AutoBitsetThreshold rows and Bitset at or
 	// above it — small instances keep the O(1) lookups, large ones
-	// avoid the O(n²) fill and footprint.
+	// avoid the O(n²) fill and footprint. algo.GreedyBall's lazy cover
+	// overrides the size rule and builds Bitset at every size: it reads
+	// distances only as rows, which the bitset kernel fills at least as
+	// fast as the Matrix copies them.
 	Auto Choice = iota
 	// Dense always builds the precomputed Matrix.
 	Dense
@@ -63,10 +66,12 @@ const (
 )
 
 // AutoBitsetThreshold is the row count at and above which Auto selects
-// the matrix-free kernel. At n = 4096 the dense matrix is 32 MiB of
-// int16 — already past L2/L3 on most hardware, so its O(1) lookups
-// stop winning against popcount on cached bitset rows, while the fill
-// alone costs an O(n²m) pass the bitset kernel never pays.
+// the matrix-free kernel for callers that look distances up pair by
+// pair (algo.GreedyBall's lazy cover takes the bitset kernel at every
+// size). At n = 4096 the dense matrix is 32 MiB of int16 — already
+// past L2/L3 on most hardware, so its O(1) lookups stop winning
+// against popcount on cached bitset rows, while the fill alone costs
+// an O(n²m) pass the bitset kernel never pays.
 const AutoBitsetThreshold = 4096
 
 // ParseChoice parses a kernel name as accepted by the -kernel flags:

@@ -344,6 +344,53 @@ func TestBitKernelAllPackedColumns(t *testing.T) {
 	checkKernelsAgree(t, tab, mat, bit, rng)
 }
 
+// TestBitKernelPackedLaneWidths drives the packed fallback through each
+// lane width: nine columns whose largest code is top, so that a column's
+// code+1 fills an 8-, 16- or 32-bit lane exactly or needs the next
+// width, and nine columns take two words of 8-bit lanes. Rows are
+// appended with AppendRow, codes near top and stars mixed in, and every
+// distance and ranged fill must match the row-wise definition.
+func TestBitKernelPackedLaneWidths(t *testing.T) {
+	const m = 9
+	names := make([]string, m)
+	for j := range names {
+		names[j] = "c" + strconv.Itoa(j)
+	}
+	for _, top := range []int32{63, 254, 255, 65534, 65535, math.MaxInt32 - 1} {
+		rng := rand.New(rand.NewSource(int64(top)))
+		tab := relation.NewTable(relation.NewSchema(names...))
+		for i := 0; i < 40; i++ {
+			row := make(relation.Row, m)
+			for j := range row {
+				switch v := rng.Intn(5); v {
+				case 0:
+					row[j] = relation.Star
+				default:
+					row[j] = top - int32(v-1)
+				}
+			}
+			if i == 0 {
+				row[0] = top
+			}
+			if err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bit, err := NewBitKernelCtx(context.Background(), tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bit.packedCols != m {
+			t.Fatalf("top %d: %d packed columns, want %d", top, bit.packedCols, m)
+		}
+		want := map[int32]uint{63: 8, 254: 8, 255: 16, 65534: 16, 65535: 32, math.MaxInt32 - 1: 32}[top]
+		if bit.lanes.width != want {
+			t.Fatalf("top %d: %d-bit lanes, want %d", top, bit.lanes.width, want)
+		}
+		checkKernelsAgree(t, tab, NewMatrix(tab), bit, rng)
+	}
+}
+
 // TestKthNearestLargeRangeFallback pins the counting-sort cutoff: a
 // metric whose range dwarfs n must take the selection path and still
 // agree with a naive sort.

@@ -24,7 +24,7 @@ var fuzzOffsets = []int32{0, 246, 247, 248, 65526, 65527, 65528, 1 << 24, math.M
 // starred cell, anything else code offset + b%8, with column c's offset
 // chosen by offsets[c]. The codes are placed in rows directly, as a
 // parent table's interning would leave them in a block; refine and the
-// dense kernel of refStart's ball-greedy start read nothing else.
+// distance kernel of refStart's ball-greedy start read nothing else.
 func FuzzRefineMatchesReference(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrstuvwx"), []byte{}, uint8(3), uint8(1), uint8(0))
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 7, 2, 3, 1, 14, 3, 5, 5, 5, 6, 6, 6}, []byte{1, 4, 7}, uint8(2), uint8(2), uint8(1))

@@ -206,8 +206,41 @@ func TestCancelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	tab := dataset.Census(rng, 90, 6)
 	const k = 3
-	build := refStart(tab, k, 1, 0)
+	if !cancelMatchesReference(t, tab, k, refStart(tab, k, 1, 0)) {
+		t.Fatal("no cancel point fell after a dissolve")
+	}
+}
 
+// TestCancelEveryPollMatchesReference runs the comparison of
+// TestCancelMatchesReference with a poll at every candidate, on three
+// starts. A bound that passes candidates over must still count each
+// one, so a skipped run of candidates that advanced the poll counter
+// by one too few or too many shifts every later poll and fails here,
+// where at the default cadence it can fall between two polls.
+func TestCancelEveryPollMatchesReference(t *testing.T) {
+	defer func(every int) { pollEvery = every }(pollEvery)
+	pollEvery = 1
+	rng := rand.New(rand.NewSource(45))
+	tab := dataset.Census(rng, 36, 5)
+	const k = 3
+	afterDissolve := false
+	for start := 0; start < 3; start++ {
+		if cancelMatchesReference(t, tab, k, refStart(tab, k, start, int64(start))) {
+			afterDissolve = true
+		}
+	}
+	if !afterDissolve {
+		t.Fatal("no cancel point fell after a dissolve")
+	}
+}
+
+// cancelMatchesReference cancels Partition and partitionRef, on
+// partitions from build, after every number of polls that a full run
+// makes, and fails unless both polled equally often and every cancel
+// left the same partial groups. It reports whether some cancel point
+// fell after a dissolve.
+func cancelMatchesReference(t *testing.T, tab *relation.Table, k int, build func() *core.Partition) (afterDissolve bool) {
+	t.Helper()
 	count := func(run func(*relation.Table, *core.Partition, int, *Options) (*Stats, error)) int {
 		ctx := &countCtx{Context: context.Background(), remaining: 1 << 30}
 		if _, err := run(tab, build(), k, &Options{Ctx: ctx}); err != nil {
@@ -219,7 +252,6 @@ func TestCancelMatchesReference(t *testing.T) {
 	if ref := count(partitionRef); polls != ref {
 		t.Fatalf("Partition polled %d times, reference %d", polls, ref)
 	}
-	afterDissolve := false
 	for n := 0; n < polls; n++ {
 		got, want := build(), build()
 		_, err := Partition(tab, got, k, &Options{Ctx: &countCtx{Context: context.Background(), remaining: n}})
@@ -238,9 +270,7 @@ func TestCancelMatchesReference(t *testing.T) {
 		}
 		afterDissolve = afterDissolve || len(got.Groups) < len(want.Groups)
 	}
-	if !afterDissolve {
-		t.Fatal("no cancel point fell after a dissolve")
-	}
+	return afterDissolve
 }
 
 // partitionRef is Partition as it was before incremental pricing, kept

@@ -45,8 +45,9 @@ type Options struct {
 }
 
 // pollEvery is how many candidate evaluations pass between context
-// polls; a power of two so the check is a mask, not a division.
-const pollEvery = 1024
+// polls; a power of two so the check is a mask, not a division. A
+// variable only so that tests can poll at every candidate.
+var pollEvery = 1024
 
 // Stats reports what the search did.
 type Stats struct {
@@ -132,16 +133,6 @@ func (l *lanes) joinCost(n int, sig, r []uint64) int {
 	return (n + 1) * d
 }
 
-// sigCost is core.Anon(S) for a set S of size n with signature sig: the
-// mixed lanes are the zero lanes of ^sig.
-func (l *lanes) sigCost(n int, sig []uint64) int {
-	d := 0
-	for _, x := range sig {
-		d += bits.OnesCount64(l.top &^ l.differ(^x))
-	}
-	return n * d
-}
-
 // merge marks mixed every lane of sig on which r differs from it.
 func (l *lanes) merge(sig, r []uint64) {
 	for q, x := range sig {
@@ -150,35 +141,38 @@ func (l *lanes) merge(sig, r []uint64) {
 }
 
 // search is the local search's state. Besides the groups it caches
-// each group's cost and packed signature, and each row's leave-out
-// signature (its group's signature with the row removed), so that a
+// each group's cost, packed signature and mixed-column count, and each
+// row's leave-out signature (its group's signature with the row
+// removed) and the number of columns that leaving unmixes, so that a
 // candidate move prices in O(m/per) words without building the moved
-// groups.
+// groups, and is bounded in O(1) before it is priced at all.
 type search struct {
 	lanes
 	m      int
 	groups [][]int
 	cost   []int
+	mix    []int32 // group g's mixed columns: cost[g] = |g|·mix[g]
 	sig    [][]uint64
 	owner  []int
 	rows   []uint64 // row i packed is rows[i*words : (i+1)*words]
 	out    []uint64 // row i's leave-out signature, laid out likewise
-	frees  []bool   // row i's departure unmixes a column of its group
+	frees  []int32  // the columns of its group that row i's departure unmixes
 }
 
 func (s *search) row(i int) []uint64    { return s.rows[i*s.words : (i+1)*s.words] }
 func (s *search) outSig(i int) []uint64 { return s.out[i*s.words : (i+1)*s.words] }
 
-// resign recomputes group gi's signature and cost, and its members'
-// owner, leave-out signature and frees flag, in O(|group|·m). Per
-// column, the first two distinct values and their counts decide every
-// leave-out: removing a row leaves the column uniform only when all
-// the other rows share one value.
+// resign recomputes group gi's signature, cost and mixed-column count,
+// and its members' owner, leave-out signature and freed-column count,
+// in O(|group|·m). Per column, the first two distinct values and their
+// counts decide every leave-out: removing a row leaves the column
+// uniform only when all the other rows share one value.
 func (s *search) resign(gi int) {
 	g, sig := s.groups[gi], s.sig[gi]
 	clear(sig)
+	s.mix[gi] = 0
 	for _, r := range g {
-		s.owner[r], s.frees[r] = gi, false
+		s.owner[r], s.frees[r] = gi, 0
 		clear(s.outSig(r))
 	}
 	for c := range s.m {
@@ -197,6 +191,7 @@ func (s *search) resign(gi int) {
 		}
 		if nb > 0 {
 			sig[q] |= s.mixed << shift
+			s.mix[gi]++
 		} else {
 			sig[q] |= a << shift
 		}
@@ -211,12 +206,14 @@ func (s *search) resign(gi int) {
 				default:
 					out = s.mixed
 				}
-				s.frees[r] = s.frees[r] || out != s.mixed
+				if out != s.mixed {
+					s.frees[r]++
+				}
 			}
 			s.out[r*s.words+q] |= out << shift
 		}
 	}
-	s.cost[gi] = s.sigCost(len(g), sig)
+	s.cost[gi] = len(g) * int(s.mix[gi])
 }
 
 // Partition improves p in place and returns search statistics. The
@@ -226,9 +223,12 @@ func (s *search) resign(gi int) {
 //
 // Candidate moves are priced from cached column signatures, packed
 // with the rows into words of lanes (see lanes), and only an accepted
-// move re-signs the groups it changed. The pricing is exact:
-// the search takes the same moves, in the same order, as pricing each
-// candidate with core.Anon on the moved groups would.
+// move re-signs the groups it changed. Before it is priced, each
+// candidate is bounded from the cached counts, and one whose bound
+// cannot beat the best move so far is passed over unpriced. The
+// pricing is exact and the bounds are sound: the search takes the same
+// moves, in the same order, as pricing each candidate with core.Anon
+// on the moved groups would.
 func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stats, error) {
 	if opt == nil {
 		opt = &Options{}
@@ -242,7 +242,9 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		maxRounds = 8
 	}
 	// poll amortizes the context check over pollEvery candidate
-	// evaluations, the scan's unit of work.
+	// evaluations, the scan's unit of work; skip counts c candidates a
+	// bound passed over in bulk, polling once for each pollEvery
+	// boundary they cross, so the cadence is that of evaluating each.
 	evals := 0
 	poll := func() error {
 		evals++
@@ -250,6 +252,15 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 			return nil
 		}
 		return ctx.Err()
+	}
+	skip := func(c int) error {
+		for b := (evals+c)/pollEvery - evals/pollEvery; b > 0; b-- {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		evals += c
+		return nil
 	}
 	if err := p.Validate(t.Len(), k, 0); err != nil {
 		return nil, fmt.Errorf("refine: %w", err)
@@ -261,11 +272,12 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 	s := &search{
 		lanes: l, m: t.Degree(), groups: p.Groups,
 		cost:  make([]int, len(p.Groups)),
+		mix:   make([]int32, len(p.Groups)),
 		sig:   make([][]uint64, len(p.Groups)),
 		owner: make([]int, n),
 		rows:  make([]uint64, n*w),
 		out:   make([]uint64, n*w),
-		frees: make([]bool, n),
+		frees: make([]int32, n),
 	}
 	for i := range n {
 		s.pack(s.row(i), t.Row(i))
@@ -284,9 +296,11 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		return nil, fmt.Errorf("refine: %w", err)
 	}
 	// Dissolve scratch, indexed by group: the rows tentatively joining
-	// each destination and that destination's signature with them.
+	// each destination, that destination's signature with them, and the
+	// cost they add to it.
 	extra := make([][]int, len(s.groups))
 	esig := make([][]uint64, len(s.groups))
+	erise := make([]int, len(s.groups))
 	var touched []int
 
 	improved := true
@@ -296,14 +310,18 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 		}
 		improved = false
 
-		// Relocate pass.
+		// Relocate pass. Leaving from saves save; joining g adds at
+		// least mix[g], since each of g's mixed columns stars the
+		// newcomer too, so a destination with mix[g] ≥ save+bestDelta
+		// cannot beat the best so far.
 		for i := 0; i < n; i++ {
 			from := s.owner[i]
-			if len(s.groups[from]) <= k {
+			nf := len(s.groups[from])
+			if nf <= k {
 				continue
 			}
 			ri := s.row(i)
-			shrunkCost := s.sigCost(len(s.groups[from])-1, s.outSig(i))
+			save := s.cost[from] - (nf-1)*int(s.mix[from]-s.frees[i])
 			bestG, bestDelta := -1, 0
 			for gi := range s.groups {
 				if gi == from {
@@ -312,8 +330,10 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				if err := poll(); err != nil {
 					return fail(err)
 				}
-				grownCost := s.joinCost(len(s.groups[gi]), s.sig[gi], ri)
-				delta := (shrunkCost + grownCost) - (s.cost[from] + s.cost[gi])
+				if int(s.mix[gi]) >= save+bestDelta {
+					continue
+				}
+				delta := s.joinCost(len(s.groups[gi]), s.sig[gi], ri) - s.cost[gi] - save
 				if delta < bestDelta {
 					bestG, bestDelta = gi, delta
 				}
@@ -329,7 +349,12 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 			}
 		}
 
-		// Swap pass.
+		// Swap pass. Swapping i out of group a and j in changes a's
+		// cost by di ≥ −|a|·frees[i]: j stars at least the columns that
+		// stay mixed without i. So with dj bounded likewise, a side
+		// whose row frees no column cannot pay for itself, and once
+		// the first side priced outweighs what the other can save, the
+		// swap cannot pay.
 		for i := 0; i < n; i++ {
 			gi, ri, oi := s.owner[i], s.row(i), s.outSig(i)
 			for j := i + 1; j < n; j++ {
@@ -340,15 +365,26 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				if err := poll(); err != nil {
 					return fail(err)
 				}
-				// If neither departure unmixes a column, each side
-				// costs at least what it did: the swap cannot pay.
-				if !s.frees[i] && !s.frees[j] {
+				fi, fj := s.frees[i], s.frees[j]
+				if fi == 0 && fj == 0 {
 					continue
 				}
-				ci := s.joinCost(len(s.groups[gi])-1, oi, s.row(j))
-				cj := s.joinCost(len(s.groups[gj])-1, s.outSig(j), ri)
-				delta := (ci + cj) - (s.cost[gi] + s.cost[gj])
-				if delta < 0 {
+				ni, nj := len(s.groups[gi]), len(s.groups[gj])
+				var di, dj int
+				if fi > 0 {
+					di = s.joinCost(ni-1, oi, s.row(j)) - s.cost[gi]
+					if di >= nj*int(fj) {
+						continue
+					}
+					dj = s.joinCost(nj-1, s.outSig(j), ri) - s.cost[gj]
+				} else {
+					dj = s.joinCost(nj-1, s.outSig(j), ri) - s.cost[gj]
+					if dj >= 0 {
+						continue
+					}
+					di = s.joinCost(ni-1, oi, s.row(j)) - s.cost[gi]
+				}
+				if delta := di + dj; delta < 0 {
 					s.groups[gi] = append(withoutRow(s.groups[gi], i), j)
 					s.groups[gj] = append(withoutRow(s.groups[gj], j), i)
 					s.resign(gi)
@@ -373,13 +409,17 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				}
 				// Tentatively place each row in the group where its
 				// marginal cost (including earlier tentative joiners)
-				// is lowest.
+				// is lowest. No placement lowers a cost, and the
+				// attempt's delta is the summed rise less cost(gi):
+				// once the rise reaches cost(gi) the attempt cannot
+				// pay, and the rows left are passed over unpriced.
 				for _, dst := range touched {
 					extra[dst] = extra[dst][:0]
 				}
 				touched = touched[:0]
-				for _, row := range g {
-					r := s.row(row)
+				rise, placed := 0, 0
+				for ; placed < len(g) && rise < s.cost[gi]; placed++ {
+					r := s.row(g[placed])
 					bestDst, bestMarginal := -1, 0
 					for gj := range s.groups {
 						if gj == gi {
@@ -400,16 +440,18 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 					if len(extra[bestDst]) == 0 {
 						touched = append(touched, bestDst)
 						esig[bestDst] = append(esig[bestDst][:0], s.sig[bestDst]...)
+						erise[bestDst] = 0
 					}
-					extra[bestDst] = append(extra[bestDst], row)
+					extra[bestDst] = append(extra[bestDst], g[placed])
 					s.merge(esig[bestDst], r)
+					rise += bestMarginal - erise[bestDst]
+					erise[bestDst] = bestMarginal
 				}
-				// Evaluate the aggregate delta with all placements applied.
-				delta := -s.cost[gi]
-				for _, dst := range touched {
-					delta += s.sigCost(len(s.groups[dst])+len(extra[dst]), esig[dst]) - s.cost[dst]
-				}
+				delta := rise - s.cost[gi]
 				if delta >= 0 {
+					if err := skip((len(g) - placed) * (len(s.groups) - 1)); err != nil {
+						return fail(err)
+					}
 					continue
 				}
 				for _, dst := range touched {
@@ -420,6 +462,7 @@ func Partition(t *relation.Table, p *core.Partition, k int, opt *Options) (*Stat
 				}
 				s.groups = append(s.groups[:gi], s.groups[gi+1:]...)
 				s.cost = append(s.cost[:gi], s.cost[gi+1:]...)
+				s.mix = append(s.mix[:gi], s.mix[gi+1:]...)
 				s.sig = append(s.sig[:gi], s.sig[gi+1:]...)
 				for r := range s.owner {
 					if s.owner[r] > gi {

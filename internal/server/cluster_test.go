@@ -80,12 +80,14 @@ func smallInstance(t *testing.T, seed int64) (header []string, rows [][]string, 
 	return header, rows, direct
 }
 
-// slowInstance is a workload big enough (~seconds) that a test can
-// reliably act on the job while it is still running.
+// slowInstance is a workload big enough that a test can reliably act
+// on the job while it is still running: a ball+refine job on it runs
+// for about half a second on a 2-vCPU host, several renewal ticks of a
+// 300 ms lease.
 func slowInstance(t *testing.T) (header []string, rows [][]string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	header, rows = renderTable(dataset.Census(rng, 2000, 6))
+	header, rows = renderTable(dataset.Census(rng, 4000, 6))
 	return header, rows
 }
 

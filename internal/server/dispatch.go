@@ -352,17 +352,15 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest) {
 	renewDone := make(chan struct{})
 	go m.renewLoop(job, fence, cancel, &lost, &userCancel, renewStop, renewDone)
 
-	res, resumed, err := m.execute(ctx, job, root)
+	res, resumed, err := m.execute(ctx, job, fence, root)
 	close(renewStop)
 	<-renewDone
 
 	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseDone, Phase: "anonymize"})
-	// Persist the final timeline only while the lease looks ours: after a
-	// loss the thief owns trace.json, and a late flush would overwrite
-	// its fuller view. (A commit below can still discover a loss after
-	// this flush — the thief's next flush repairs the file; the journal,
-	// being append-only, never has this race.)
-	finalTrace := m.finishJobObs(job, root, !lost.Load())
+	// The final flush is fenced: after a loss the thief owns trace.json,
+	// and the store refuses this node's late write instead of letting it
+	// overwrite the thief's fuller view.
+	finalTrace := m.finishJobObs(job, root, fence)
 	if err == nil && job.Req.Trace && finalTrace != nil {
 		res.Stats = finalTrace
 	}
@@ -396,14 +394,14 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest) {
 // job's checkpoints instead of recomputed. The compute attaches its
 // phase tree under the run's root span, and checkpoints journal their
 // commits and resumes; the release is byte-identical either way.
-func (m *Manager) execute(ctx context.Context, job *Job, root *obs.Span) (*kanon.Result, int, error) {
+func (m *Manager) execute(ctx context.Context, job *Job, fence uint64, root *obs.Span) (*kanon.Result, int, error) {
 	req := job.Req
 	if req.BlockRows > 0 {
 		c, err := m.st.Checkpoint(job.ID, job.header)
 		if err != nil {
 			return nil, 0, err
 		}
-		ckpt := &journalCheckpoint{inner: c, m: m, job: job}
+		ckpt := &journalCheckpoint{inner: c, m: m, job: job, fence: fence}
 		return kanon.AnonymizeBlocks(ctx, job.header, job.rows, req.K, req.BlockRows, &kanon.Options{
 			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Span: root,
 		}, ckpt)

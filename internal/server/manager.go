@@ -35,8 +35,10 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses. Default 1s.
 	RetryAfter time.Duration
 	// Kernel is the distance-kernel backend for jobs whose submission
-	// does not name one. The zero value (kanon.KernelAuto) sizes the
-	// choice to each job's table; output is identical either way.
+	// does not name one. The zero value (kanon.KernelAuto) lets each
+	// job pick as kanon.KernelAuto says: matrix-free for the ball
+	// algorithm's default cover and every block job, sized to the table
+	// elsewhere. Output is identical either way.
 	Kernel kanon.Kernel
 	// Log receives structured job lifecycle events (with each job's ID
 	// as run_id); nil is silent.

@@ -19,11 +19,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
 
 	"kanon/internal/obs"
+	"kanon/internal/store"
 	"kanon/internal/stream"
 )
 
@@ -121,32 +123,31 @@ func (m *Manager) jobTraceSnapshot(job *Job) *obs.Snapshot {
 
 // flushJobTrace persists the job's merged timeline — called at every
 // checkpoint commit and at terminal transitions. Last write wins; each
-// flush is a strictly fuller view of the same run.
-func (m *Manager) flushJobTrace(job *Job) {
+// flush is a strictly fuller view of the same run. The write is fenced
+// by the run's lease: once a thief holds the job, trace.json is its
+// own, and this node's flushes are refused without a warning.
+func (m *Manager) flushJobTrace(job *Job, fence uint64) {
 	snap := m.jobTraceSnapshot(job)
 	if snap == nil {
 		return
 	}
 	b, err := json.Marshal(snap)
 	if err == nil {
-		err = m.st.WriteTrace(job.ID, b)
+		err = m.st.WriteTraceFenced(job.ID, m.node, fence, b)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, store.ErrFenced) {
 		m.log(job.ID, slog.LevelWarn, "trace_persist_failed", slog.String("error", err.Error()))
 	}
 }
 
 // finishJobObs closes a run's observability: end the root span, flush
-// the final timeline (unless the lease was lost — the thief owns
-// trace.json now and a late flush would clobber its fuller view), and
-// detach the tracer so TraceOf reads the persisted file from here on.
-// Returns the final merged timeline.
-func (m *Manager) finishJobObs(job *Job, root *obs.Span, persist bool) *obs.Snapshot {
+// the final timeline under the run's fence, and detach the tracer so
+// TraceOf reads the persisted file from here on. Returns the final
+// merged timeline.
+func (m *Manager) finishJobObs(job *Job, root *obs.Span, fence uint64) *obs.Snapshot {
 	root.End()
 	snap := m.jobTraceSnapshot(job)
-	if persist {
-		m.flushJobTrace(job)
-	}
+	m.flushJobTrace(job, fence)
 	job.mu.Lock()
 	job.tracer, job.priorTrace = nil, nil
 	job.mu.Unlock()
@@ -163,6 +164,7 @@ type journalCheckpoint struct {
 	inner stream.Checkpoint
 	m     *Manager
 	job   *Job
+	fence uint64 // the run's lease, which fences its trace flushes
 }
 
 // Save flushes the trace before the inner checkpoint writes the block's
@@ -170,7 +172,7 @@ type journalCheckpoint struct {
 // it and no committed block, never a committed block whose trace
 // segment is lost.
 func (c *journalCheckpoint) Save(stat stream.BlockStat, rows [][]string) error {
-	c.m.flushJobTrace(c.job)
+	c.m.flushJobTrace(c.job, c.fence)
 	if err := c.inner.Save(stat, rows); err != nil {
 		return err
 	}

@@ -23,13 +23,15 @@
 // of wedging it forever.
 //
 // Fencing: every successful claim increments the manifest's Fence.
-// RenewLease, UpdateClaimed, and ReleaseJob all verify (node, fence)
-// under the lock before writing, so a node whose lease was stolen gets
-// ErrFenced instead of silently clobbering the new owner's state — the
-// stale writer becomes a no-op. The one write the fence does not gate
-// is spool content (results, block checkpoints), and it does not need
-// to: jobs are deterministic, so a stale owner racing the new one
-// writes byte-identical files through unique temp names.
+// RenewLease, UpdateClaimed, ReleaseJob and WriteTraceFenced all verify
+// (node, fence) under the lock before writing, so a node whose lease
+// was stolen gets ErrFenced instead of silently clobbering the new
+// owner's state — the stale writer becomes a no-op. The one write the
+// fence does not gate is spool content (results, block checkpoints),
+// and it does not need to: jobs are deterministic, so a stale owner
+// racing the new one writes byte-identical files through unique temp
+// names. A trace is not deterministic (it records one node's timings),
+// so it is fenced.
 package store
 
 import (
@@ -71,21 +73,28 @@ const reapAttempts = 10
 var errUnchanged = errors.New("store: manifest unchanged")
 
 // lockJob acquires the per-job mutation lock, returning the unlock
-// function. The lock is a file created with O_EXCL — the one primitive
-// that arbitrates between processes sharing the directory. Stale locks
-// (older than lockStale, i.e. abandoned by a crash) are broken.
-func (s *Store) lockJob(id string) (func(), error) {
+// function and how long the caller waited for it: zero when the first
+// attempt won, the time since the call otherwise. The lock is a file
+// created with O_EXCL — the one primitive that arbitrates between
+// processes sharing the directory. Stale locks (older than lockStale,
+// i.e. abandoned by a crash) are broken.
+func (s *Store) lockJob(id string) (func(), time.Duration, error) {
 	rel := path.Join(jobRel(id), "manifest.lock")
-	deadline := time.Now().Add(lockAcquireTimeout)
-	for {
+	start := time.Now()
+	deadline := start.Add(lockAcquireTimeout)
+	for tries := 0; ; tries++ {
 		err := s.be.TryLock(rel)
 		if err == nil {
-			return func() { _ = s.be.Remove(rel) }, nil
+			var waited time.Duration
+			if tries > 0 {
+				waited = time.Since(start)
+			}
+			return func() { _ = s.be.Remove(rel) }, waited, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			// Typically ENOENT: the job directory was reaped while we
 			// were trying — surface that as the job being gone.
-			return nil, fmt.Errorf("store: locking job %s: %w", id, err)
+			return nil, 0, fmt.Errorf("store: locking job %s: %w", id, err)
 		}
 		if _, mt, serr := s.be.Stat(rel); serr == nil && time.Since(mt) > s.lockStale {
 			// Abandoned by a crashed process. Removal may race another
@@ -95,22 +104,22 @@ func (s *Store) lockJob(id string) (func(), error) {
 			continue
 		}
 		if time.Now().After(deadline) {
-			return nil, ErrLockBusy
+			return nil, 0, ErrLockBusy
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
 // mutate applies fn to the job's manifest as one locked
-// read-modify-write. fn sees the freshest committed manifest; if it
-// returns an error nothing is written. The committed manifest is
-// returned on success, and the unwritten one when fn returns
-// errUnchanged.
-func (s *Store) mutate(id string, fn func(*Manifest) error) (*Manifest, error) {
+// read-modify-write. fn sees the freshest committed manifest and how
+// long the lock wait before it lasted (see lockJob); if it returns an
+// error nothing is written. The committed manifest is returned on
+// success, and the unwritten one when fn returns errUnchanged.
+func (s *Store) mutate(id string, fn func(m *Manifest, waited time.Duration) error) (*Manifest, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
 	}
-	unlock, err := s.lockJob(id)
+	unlock, waited, err := s.lockJob(id)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +132,7 @@ func (s *Store) mutate(id string, fn func(*Manifest) error) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fn(m); err == errUnchanged {
+	if err := fn(m, waited); err == errUnchanged {
 		return m, nil
 	} else if err != nil {
 		return nil, err
@@ -160,9 +169,15 @@ func claimNode(m *Manifest) string {
 // ClaimJob atomically claims a job for node: a queued job, or a running
 // job whose lease has expired (crash-failover steal) or was never
 // leased (an orphan from a pre-cluster crash). On success the manifest
-// is running, fenced one higher than before, and leased to node until
-// now+ttl; stolen reports whether the claim displaced a previous
-// holder. Any other state returns ErrNotClaimable.
+// is running, fenced one higher than before, and leased to node for
+// ttl from the commit; stolen reports whether the claim displaced a
+// previous holder. Any other state returns ErrNotClaimable.
+//
+// The commit's time is now plus however long the claim waited for the
+// job's lock. That wait can outlast the lease: up to
+// lockAcquireTimeout, or lockStale when the lock's holder died holding
+// it. A lease of now+ttl would then be committed already expired, and
+// a second claimer waiting on the same lock would steal it at once.
 func (s *Store) ClaimJob(id, node string, ttl time.Duration, now time.Time) (m *Manifest, stolen bool, err error) {
 	if err := ValidateNodeID(node); err != nil {
 		return nil, false, err
@@ -170,7 +185,8 @@ func (s *Store) ClaimJob(id, node string, ttl time.Duration, now time.Time) (m *
 	if ttl <= 0 {
 		return nil, false, fmt.Errorf("store: lease ttl %v, want > 0", ttl)
 	}
-	m, err = s.mutate(id, func(m *Manifest) error {
+	m, err = s.mutate(id, func(m *Manifest, waited time.Duration) error {
+		now := now.Add(waited)
 		switch {
 		case m.State == StateQueued:
 		case m.State == StateRunning && m.Claim == nil:
@@ -204,16 +220,16 @@ func claimExpiry(m *Manifest) time.Time {
 	return m.Claim.Expires
 }
 
-// RenewLease extends the lease of a job the caller owns to now+ttl.
-// It returns the committed manifest so the owner also observes
-// cross-node signals riding on it (CancelRequested). ErrFenced if the
-// lease was stolen.
+// RenewLease extends the lease of a job the caller owns to ttl from the
+// commit, timed as ClaimJob times it. It returns the committed manifest
+// so the owner also observes cross-node signals riding on it
+// (CancelRequested). ErrFenced if the lease was stolen.
 func (s *Store) RenewLease(id, node string, fence uint64, ttl time.Duration, now time.Time) (*Manifest, error) {
-	return s.mutate(id, func(m *Manifest) error {
+	return s.mutate(id, func(m *Manifest, waited time.Duration) error {
 		if err := checkOwner(m, node, fence); err != nil {
 			return err
 		}
-		m.Claim.Expires = now.Add(ttl)
+		m.Claim.Expires = now.Add(waited + ttl)
 		return nil
 	})
 }
@@ -224,7 +240,7 @@ func (s *Store) RenewLease(id, node string, fence uint64, ttl time.Duration, now
 // non-running state the claim record is cleared (the lease dies with
 // the run; the fence survives as a high-water mark).
 func (s *Store) UpdateClaimed(id, node string, fence uint64, fn func(*Manifest) error) (*Manifest, error) {
-	return s.mutate(id, func(m *Manifest) error {
+	return s.mutate(id, func(m *Manifest, _ time.Duration) error {
 		if err := checkOwner(m, node, fence); err != nil {
 			return err
 		}
@@ -245,7 +261,7 @@ func (s *Store) UpdateClaimed(id, node string, fence uint64, fn func(*Manifest) 
 // (graceful shutdown with jobs still running); any node, including the
 // releaser, may claim the job again.
 func (s *Store) ReleaseJob(id, node string, fence uint64) (*Manifest, error) {
-	return s.mutate(id, func(m *Manifest) error {
+	return s.mutate(id, func(m *Manifest, _ time.Duration) error {
 		if err := checkOwner(m, node, fence); err != nil {
 			return err
 		}
@@ -265,7 +281,7 @@ func (s *Store) ReleaseJob(id, node string, fence uint64) (*Manifest, error) {
 // one already flagged, is left as it is and not rewritten. The current
 // manifest is returned either way.
 func (s *Store) RequestCancel(id, reason string, now time.Time) (m *Manifest, changed bool, err error) {
-	m, err = s.mutate(id, func(m *Manifest) error {
+	m, err = s.mutate(id, func(m *Manifest, _ time.Duration) error {
 		switch {
 		case m.State == StateQueued:
 			m.State = StateCanceled
@@ -296,7 +312,7 @@ func (s *Store) ReapTerminal(id string, cutoff time.Time) (reaped bool, err erro
 	if err := ValidateID(id); err != nil {
 		return false, err
 	}
-	unlock, err := s.lockJob(id)
+	unlock, _, err := s.lockJob(id)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return false, nil // already gone

@@ -326,6 +326,53 @@ func TestStaleLockBroken(t *testing.T) {
 	})
 }
 
+// TestLeaseRunsFromCommitAfterStaleLock: a claim that waits out a dead
+// holder's lock commits a lease running a full TTL from the commit, not
+// from the caller's clock reading before the wait. A second claimer
+// that waited on the same lock, and reads its clock later by less than
+// the wait plus the TTL, must find the lease live, not already expired
+// and stealable. A renewal stuck behind a stale lock is timed the same
+// way.
+func TestLeaseRunsFromCommitAfterStaleLock(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		// A file's mtime may trail the clock by a tick, so the wait can
+		// fall a little short of stale: late keeps ttl/2 of margin.
+		const stale, ttl = 300 * time.Millisecond, 100 * time.Millisecond
+		const late = stale + ttl/2
+		s := open()
+		createJobs(t, s, "job-1")
+		s.SetLockStale(stale)
+		lock := func() {
+			t.Helper()
+			if err := s.Backend().TryLock("jobs/job-1/manifest.lock"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
+		lock()
+		m, _, err := s.ClaimJob("job-1", "node-a", ttl, at)
+		if err != nil {
+			t.Fatalf("claim under stale lock: %v", err)
+		}
+		if got := m.Claim.Expires.Sub(at); got <= late {
+			t.Fatalf("lease committed %v past the claim's clock, want > %v (the lock wait plus the TTL)", got, late)
+		}
+		if _, _, err := s.ClaimJob("job-1", "node-b", ttl, at.Add(late)); !errors.Is(err, ErrNotClaimable) {
+			t.Fatalf("second claim behind the same lock: err = %v, want ErrNotClaimable", err)
+		}
+
+		renewAt := m.Claim.Expires
+		lock()
+		m, err = s.RenewLease("job-1", "node-a", m.Fence, ttl, renewAt)
+		if err != nil {
+			t.Fatalf("renew under stale lock: %v", err)
+		}
+		if got := m.Claim.Expires.Sub(renewAt); got <= late {
+			t.Fatalf("renewal committed %v past the renewal's clock, want > %v", got, late)
+		}
+	})
+}
+
 // TestConcurrentClaimProperty is the cluster-safety property test: N
 // goroutine "nodes" hammer ClaimJob over a batch of queued jobs through
 // independent Store handles (as cross-process as a unit test gets).

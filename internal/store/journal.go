@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"time"
 )
 
 // Per-job observability artifacts: events.jsonl (the append-only
@@ -27,7 +28,7 @@ func (s *Store) AppendJournal(id string, line []byte) error {
 	if len(line) == 0 || line[len(line)-1] != '\n' {
 		return fmt.Errorf("store: journal line for job %s not newline-terminated", id)
 	}
-	unlock, err := s.lockJob(id)
+	unlock, _, err := s.lockJob(id)
 	if err != nil {
 		return err
 	}
@@ -62,13 +63,31 @@ func (s *Store) ReadJournal(id string) ([]byte, error) {
 
 // WriteTrace atomically replaces the job's persisted trace snapshot
 // (trace.json). The server flushes at checkpoint commits and terminal
-// transitions; last write wins, which is correct because each flush is
-// a fuller view of the same timeline.
+// transitions, through WriteTraceFenced; last write wins, which is
+// correct because each flush is a fuller view of the same timeline.
 func (s *Store) WriteTrace(id string, data []byte) error {
 	if err := ValidateID(id); err != nil {
 		return err
 	}
 	return s.be.WriteAtomic(path.Join(jobRel(id), "trace.json"), data)
+}
+
+// WriteTraceFenced is WriteTrace for the holder of the job's lease.
+// Last write wins only among flushes of the lease holder, so the write
+// checks (node, fence) under the job's mutation lock, as RenewLease
+// does: an owner whose lease was stolen gets ErrFenced instead of
+// overwriting its thief's view, even after the thief has finished.
+func (s *Store) WriteTraceFenced(id, node string, fence uint64, data []byte) error {
+	_, err := s.mutate(id, func(m *Manifest, _ time.Duration) error {
+		if err := checkOwner(m, node, fence); err != nil {
+			return err
+		}
+		if err := s.WriteTrace(id, data); err != nil {
+			return err
+		}
+		return errUnchanged
+	})
+	return err
 }
 
 // ReadTrace returns the job's persisted trace snapshot, nil if none has

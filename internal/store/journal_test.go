@@ -1,12 +1,14 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func journalStore(t *testing.T) *Store {
@@ -123,6 +125,50 @@ func TestJournalConcurrentAppends(t *testing.T) {
 	if len(seen) != n {
 		t.Errorf("lost lines: %d distinct of %d", len(seen), n)
 	}
+}
+
+// TestTraceWriteIsFenced: once a thief holds a job, the displaced
+// owner's trace flush is refused and leaves the thief's trace.json as
+// it was, both while the thief runs and after it has finished and
+// dropped the lease.
+func TestTraceWriteIsFenced(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, open func() *Store) {
+		s := open()
+		createJobs(t, s, "job-1")
+		now := time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC)
+		a, _, err := s.ClaimJob("job-1", "node-a", time.Second, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteTraceFenced("job-1", "node-a", a.Fence, []byte(`{"owner":"a"}`)); err != nil {
+			t.Fatal(err)
+		}
+		b, stolen, err := s.ClaimJob("job-1", "node-b", time.Minute, now.Add(time.Second))
+		if err != nil || !stolen {
+			t.Fatalf("steal: stolen=%v err=%v", stolen, err)
+		}
+		thief := []byte(`{"owner":"b"}`)
+		if err := s.WriteTraceFenced("job-1", "node-b", b.Fence, thief); err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if err := s.WriteTraceFenced("job-1", "node-a", a.Fence, []byte(`{"owner":"a","late":true}`)); !errors.Is(err, ErrFenced) {
+				t.Fatalf("%s: displaced owner's flush: err = %v, want ErrFenced", when, err)
+			}
+			if got, err := s.ReadTrace("job-1"); err != nil || string(got) != string(thief) {
+				t.Fatalf("%s: trace = %q, %v; want the thief's %q", when, got, err, thief)
+			}
+		}
+		check("thief running")
+		if _, err := s.UpdateClaimed("job-1", "node-b", b.Fence, func(m *Manifest) error {
+			m.State = StateSucceeded
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("thief finished")
+	})
 }
 
 func TestTraceRoundTrip(t *testing.T) {

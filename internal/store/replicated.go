@@ -256,7 +256,7 @@ func (r *Replicated) adoptJob(peer string, rj ReplicaJob, now time.Time) error {
 // job's mutation lock, so the merge cannot interleave with a local
 // claim transition. Reports whether the remote record won.
 func (r *Replicated) mergeJob(id string, remote *Manifest) (remoteWon bool, err error) {
-	unlock, err := r.st.lockJob(id)
+	unlock, _, err := r.st.lockJob(id)
 	if err != nil {
 		return false, err
 	}
@@ -348,7 +348,7 @@ func (r *Replicated) mergeJournal(peer, id string, remoteSize int64) error {
 	if err != nil {
 		return err
 	}
-	unlock, err := r.st.lockJob(id)
+	unlock, _, err := r.st.lockJob(id)
 	if err != nil {
 		if notExist(err) {
 			return nil // reaped underneath us

@@ -61,7 +61,9 @@ type Options struct {
 	Workers int
 	// Kernel selects the distance-kernel backend of the default
 	// per-block algorithm (metric.Auto, Dense, or Bitset); ignored when
-	// Algo is set. The release is byte-identical for every choice.
+	// Algo is set. At metric.Auto every block builds the bitset kernel,
+	// as algo.GreedyBall's lazy cover does at every size. The release
+	// is byte-identical for every choice.
 	Kernel metric.Choice
 	// Algo runs per block; nil means algo.GreedyBall with defaults. A
 	// custom Algo must be safe for concurrent calls when Workers != 1

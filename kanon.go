@@ -151,8 +151,12 @@ func AlgorithmNames() []string {
 type Kernel int
 
 const (
-	// KernelAuto (the default) picks KernelDense for small tables and
-	// KernelBitset above the internal size threshold.
+	// KernelAuto (the default) picks KernelBitset for AlgoGreedyBall's
+	// default cover, and so for every block of AnonymizeBlocks, at
+	// every size. Elsewhere (AlgoGreedyExhaustive, and AlgoGreedyBall
+	// with TrueDiameterWeights, which look distances up pair by pair)
+	// it picks KernelDense for small tables and KernelBitset above the
+	// internal size threshold.
 	KernelAuto Kernel = iota
 	// KernelDense precomputes the O(n²) distance matrix: fastest
 	// lookups, quadratic memory.
@@ -212,9 +216,9 @@ type Options struct {
 	Algorithm Algorithm
 	// Kernel selects the distance-kernel backend of the metric-driven
 	// algorithms (AlgoGreedyBall, AlgoGreedyExhaustive); KernelAuto
-	// (the default) sizes the choice to the table. Algorithms that do
-	// not consult the metric ignore it, and so does AlgoGreedyBall
-	// when ColumnWeights is set: the weighted metric is always a dense
+	// (the default) picks as its doc says. Algorithms that do not
+	// consult the metric ignore it, and so does AlgoGreedyBall when
+	// ColumnWeights is set: the weighted metric is always a dense
 	// matrix. Output is byte-identical for every kernel.
 	Kernel Kernel
 	// Seed feeds AlgoRandom's shuffle (ignored elsewhere).
