@@ -111,8 +111,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	// The whole run is traced under one root span so the printed tree
 	// accounts for (nearly) all of the process wall time: CSV load, the
-	// anonymization itself (the facade attaches its phase tree under the
-	// span it is handed), and CSV write. Everything is a no-op when
+	// anonymization itself (the facade opens its "anonymize" span under
+	// the root it is handed), and CSV write. Everything is a no-op when
 	// tracing is off; -progress, -metrics-out, and -debug-addr need the
 	// live tracer, so they imply it.
 	tracing := *trace || *traceJSON || *debugAddr != "" || *progress || *metricsOut != ""
@@ -127,9 +127,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return err
 		}
 	}
+	// At Debug, -log also prints the facade's phase_done line per span.
 	var logger *slog.Logger
 	if *logEvents {
-		logger = slog.New(slog.NewJSONHandler(stderr, nil))
+		logger = slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
 	stopProgress := func() {}
 	if *progress {
@@ -170,26 +171,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return err
 	}
 
+	// Both paths open their "anonymize" span under the root, so the
+	// debug server and the progress ticker observe the run live rather
+	// than after the fact.
 	var res *kanon.Result
-	as := root.Start("anonymize")
 	if *block > 0 {
-		// The block path threads the span straight into the stream
-		// pipeline, so its per-block spans land under "anonymize".
 		res, _, err = kanon.AnonymizeBlocks(ctx, header, rows, *k, *block, &kanon.Options{
 			Algorithm: alg, Kernel: kern, Refine: *refine, ColumnWeights: weights,
-			Workers: *workers, Span: as, Log: logger,
+			Workers: *workers, Span: root, Log: logger,
 		}, nil)
 	} else {
-		// The facade attaches its phase tree under this span directly,
-		// so the debug server and the progress ticker observe the run
-		// live rather than after the fact.
 		res, err = kanon.AnonymizeContext(ctx, header, rows, *k, &kanon.Options{
 			Algorithm: alg, Kernel: kern, Seed: *seed, Refine: *refine,
-			ColumnWeights: weights, Workers: *workers, Span: as, Log: logger,
+			ColumnWeights: weights, Workers: *workers, Span: root, Log: logger,
 			Hierarchy: hspec, MaxSuppress: *suppress,
 		})
 	}
-	as.End()
 	stopProgress() // idempotent; the deferred call covers error paths
 	if err != nil {
 		return err

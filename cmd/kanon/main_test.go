@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,6 +188,42 @@ func TestBlockStreaming(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "k-groups:") {
 		t.Errorf("stats missing under streaming:\n%s", stderr)
+	}
+}
+
+// TestLogNarratesBlockRun: -log on a -block -refine run prints
+// run_start, the refine spans' phase_done lines and run_done, all under
+// one run ID, and leaves the release byte-identical to a silent run.
+func TestLogNarratesBlockRun(t *testing.T) {
+	in := kernelCSV(600)
+	args := []string{"-k", "3", "-block", "256", "-refine"}
+	silent, _, err := runCLI(t, args, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, err := runCLI(t, append(args, "-log"), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != silent {
+		t.Error("release changed with -log")
+	}
+	seen := map[string]string{} // msg (and phase) → run ID
+	for _, ln := range strings.Split(strings.TrimSpace(stderr), "\n") {
+		var l struct {
+			Msg, Phase string
+			RunID      string `json:"run_id"`
+		}
+		if err := json.Unmarshal([]byte(ln), &l); err != nil {
+			t.Fatalf("log line %q: %v", ln, err)
+		}
+		seen[strings.TrimSpace(l.Msg+" "+l.Phase)] = l.RunID
+	}
+	id := seen["run_start"]
+	for _, want := range []string{"run_start", "phase_done refine", "run_done"} {
+		if got, ok := seen[want]; !ok || got != id || id == "" {
+			t.Errorf("%s logged under run ID %q (ok=%v), want run_start's %q:\n%s", want, got, ok, id, stderr)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ package algo
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"kanon/internal/core"
 	"kanon/internal/cover"
@@ -71,23 +70,19 @@ type Options struct {
 	Weights core.Weights
 	// Trace is the parent span phase spans and counters attach under;
 	// nil (the default) disables instrumentation at the cost of a nil
-	// check per span. Tracing never changes results.
+	// check per span. A narrated Trace also logs each phase's end and
+	// the matrix_widened and split_oversize anomalies. Tracing never
+	// changes results.
 	Trace *obs.Span
-	// Log receives structured events: phase boundaries and anomalies
-	// (matrix widening, oversize-group splits). Nil (the default) is
-	// silent; logging never changes results.
-	Log *obs.Events
 }
 
-// Stats records instrumentation for the experiments.
+// Stats records instrumentation for the experiments; the phases' wall
+// times are the algo.cover, algo.reduce and algo.suppress spans.
 type Stats struct {
-	FamilySize   int           // candidate sets enumerated (0 if implicit)
-	CoverSets    int           // sets chosen by Phase 1
-	CoverWeight  int           // Σ weights of chosen sets
-	DiameterSum  int           // Σ true diameters of final partition
-	PhaseCover   time.Duration // Phase 1 wall time
-	PhaseReduce  time.Duration // Phase 2 wall time
-	PhaseSupress time.Duration // Step 3 wall time
+	FamilySize  int // candidate sets enumerated (0 if implicit)
+	CoverSets   int // sets chosen by Phase 1
+	CoverWeight int // Σ weights of chosen sets
+	DiameterSum int // Σ true diameters of final partition
 }
 
 // Result is an anonymization outcome: the partition, the induced
@@ -123,8 +118,6 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 	}
 	var st Stats
 
-	opt.Log.PhaseStart("cover")
-	start := time.Now()
 	cs := opt.Trace.Start("algo.cover")
 	family, err := cover.ExhaustiveCtx(ctx, mat, k, opt.MaxExhaustiveSets, cs)
 	if err != nil {
@@ -137,8 +130,6 @@ func GreedyExhaustive(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("algo: greedy cover: %w", err)
 	}
-	st.PhaseCover = time.Since(start)
-	opt.Log.PhaseDone("cover", st.PhaseCover)
 
 	return finish(t, mat, k, chosen, opt, st)
 }
@@ -175,8 +166,6 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	}
 	var st Stats
 
-	opt.Log.PhaseStart("cover")
-	start := time.Now()
 	cs := opt.Trace.Start("algo.cover")
 	var chosen []cover.Set
 	if materialize {
@@ -197,8 +186,6 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("algo: greedy ball cover: %w", err)
 	}
-	st.PhaseCover = time.Since(start)
-	opt.Log.PhaseDone("cover", st.PhaseCover)
 
 	return finish(t, mat, k, chosen, opt, st)
 }
@@ -206,16 +193,11 @@ func GreedyBall(t *relation.Table, k int, opt *Options) (*Result, error) {
 // buildKernel constructs the distance kernel under the phase span: the
 // dense weighted matrix when Options.Weights is set, otherwise the
 // backend selected by kernel. It reports the int16→int32
-// widening fallback of the dense path as an anomaly event when it
-// fires and counts which backend ran. Construction polls the Options
+// widening fallback of the dense path as an anomaly when it fires and
+// counts which backend ran. Construction polls the Options
 // context (per row on the dense fill, per row block on the bitset
 // packing), so a cancelled run aborts its heaviest phase promptly.
 func buildKernel(t *relation.Table, opt *Options, kernel metric.Choice) (metric.Kernel, error) {
-	opt.Log.PhaseStart("matrix")
-	var start time.Time
-	if opt.Log.Enabled() {
-		start = time.Now()
-	}
 	ms := opt.Trace.Start("algo.distance-matrix")
 	var kern metric.Kernel
 	var err error
@@ -231,13 +213,10 @@ func buildKernel(t *relation.Table, opt *Options, kernel metric.Choice) (metric.
 	if mat, ok := kern.(*metric.Matrix); ok {
 		opt.Trace.Counter("algo.kernel_dense").Add(1)
 		if mat.Wide() {
-			opt.Log.Anomaly("matrix_widened", int64(t.Len()))
+			ms.Anomaly("matrix_widened", int64(t.Len()))
 		}
 	} else {
 		opt.Trace.Counter("algo.kernel_bitset").Add(1)
-	}
-	if opt.Log.Enabled() {
-		opt.Log.PhaseDone("matrix", time.Since(start))
 	}
 	return kern, nil
 }
@@ -251,15 +230,13 @@ func finish(t *relation.Table, mat metric.Kernel, k int, chosen []cover.Set, opt
 	st.CoverSets = len(chosen)
 	st.CoverWeight = cover.WeightSum(chosen)
 
-	opt.Log.PhaseStart("reduce")
-	start := time.Now()
 	rs := opt.Trace.Start("algo.reduce")
 	p, err := cover.ReduceTraced(t.Len(), chosen, k, rs)
 	if err != nil {
 		rs.End()
 		return nil, fmt.Errorf("algo: reduce: %w", err)
 	}
-	if opt.Log.Enabled() {
+	if rs != nil {
 		oversize := 0
 		for _, g := range p.Groups {
 			if len(g) > 2*k-1 {
@@ -267,7 +244,7 @@ func finish(t *relation.Table, mat metric.Kernel, k int, chosen []cover.Set, opt
 			}
 		}
 		if oversize > 0 {
-			opt.Log.Anomaly("split_oversize", int64(oversize))
+			rs.Anomaly("split_oversize", int64(oversize))
 		}
 	}
 	if opt.SplitSorted {
@@ -280,18 +257,12 @@ func finish(t *relation.Table, mat metric.Kernel, k int, chosen []cover.Set, opt
 		return nil, fmt.Errorf("algo: internal: invalid partition after reduce: %w", err)
 	}
 	rs.End()
-	st.PhaseReduce = time.Since(start)
-	opt.Log.PhaseDone("reduce", st.PhaseReduce)
 	st.DiameterSum = p.DiameterSum(mat)
 
-	opt.Log.PhaseStart("suppress")
-	start = time.Now()
 	ss := opt.Trace.Start("algo.suppress")
 	sup := p.Suppressor(t)
 	anon := sup.Apply(t)
 	ss.End()
-	st.PhaseSupress = time.Since(start)
-	opt.Log.PhaseDone("suppress", st.PhaseSupress)
 	opt.Trace.Counter("algo.entries_suppressed").Add(int64(sup.Stars()))
 	opt.Trace.Counter("algo.groups").Add(int64(len(p.Groups)))
 	if gh := opt.Trace.Histogram("algo.group_size"); gh != nil {

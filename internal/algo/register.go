@@ -17,7 +17,6 @@ func init() {
 				Kernel:              req.Kernel,
 				Weights:             req.Weights,
 				Trace:               req.Trace,
-				Log:                 req.Log,
 			})
 			if err != nil {
 				return nil, err
@@ -31,7 +30,7 @@ func init() {
 		Run: func(req solver.Request) (*solver.Result, error) {
 			r, err := GreedyExhaustive(req.Table, req.K, &Options{
 				Ctx: req.Ctx, SplitSorted: req.SplitSorted, Workers: req.Workers,
-				Kernel: req.Kernel, Trace: req.Trace, Log: req.Log,
+				Kernel: req.Kernel, Trace: req.Trace,
 			})
 			if err != nil {
 				return nil, err

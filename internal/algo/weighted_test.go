@@ -100,7 +100,11 @@ func TestGreedyBallWeightedNeverBelowWeightedOPT(t *testing.T) {
 		if r.WeightedCost < opt.Value {
 			t.Fatalf("trial %d: greedy %d below weighted OPT %d", trial, r.WeightedCost, opt.Value)
 		}
-		if got := r.Partition.CostWeighted(tab, w); got != r.WeightedCost {
+		got := 0
+		for _, g := range r.Partition.Groups {
+			got += core.AnonWeighted(tab, g, w)
+		}
+		if got != r.WeightedCost {
 			t.Fatalf("trial %d: partition weighted cost %d != reported %d", trial, got, r.WeightedCost)
 		}
 	}
@@ -138,14 +142,16 @@ func TestSolveWeightedReducesToSolve(t *testing.T) {
 }
 
 // TestWeightedRunObservedLikeUnweighted: a weighted ball run goes
-// through the same kernel phase as an unweighted one, so weights whose
-// distances exceed int16 log the matrix_widened anomaly, the matrix and
-// cover phases, and count the dense kernel.
+// through the same kernel phase as an unweighted one, so under a
+// narrated span weights whose distances exceed int16 log the
+// matrix_widened anomaly, the matrix and cover spans' ends, and count
+// the dense kernel.
 func TestWeightedRunObservedLikeUnweighted(t *testing.T) {
 	tab := dataset.Census(rand.New(rand.NewSource(11)), 60, 6)
 	var buf bytes.Buffer
 	tr := obs.New()
 	root := tr.Start("run")
+	root.Narrate(obs.NewEvents(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})), "weighted"))
 	info, ok := solver.Lookup("ball")
 	if !ok {
 		t.Fatal("ball solver not registered")
@@ -155,7 +161,6 @@ func TestWeightedRunObservedLikeUnweighted(t *testing.T) {
 		K:       3,
 		Weights: core.Weights{40000, 1, 1, 1, 20000, 1},
 		Trace:   root,
-		Log:     obs.NewEvents(slog.New(slog.NewJSONHandler(&buf, nil)), "weighted"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +175,7 @@ func TestWeightedRunObservedLikeUnweighted(t *testing.T) {
 		seen[rec.Msg+" "+rec.Phase+rec.Kind] = true
 	}
 	for _, want := range []string{
-		"phase_start matrix", "phase_done matrix",
-		"phase_start cover", "phase_done cover",
+		"phase_done algo.distance-matrix", "phase_done algo.cover",
 		"anomaly matrix_widened",
 	} {
 		if !seen[want] {

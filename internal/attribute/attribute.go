@@ -4,8 +4,8 @@
 // The paper proves this variant NP-hard for k > 2 even over a boolean
 // alphabet (Theorem 3.2); this package provides the exact solver used
 // as E5 ground truth (subset search in increasing cardinality, feasible
-// for the moderate m of the reduction instances) and a greedy heuristic
-// for larger tables.
+// for the moderate m of the reduction instances). The greedy heuristic
+// for larger tables is baseline.SuppressColumns.
 package attribute
 
 import (
@@ -114,59 +114,4 @@ func maskColumns(mask, m int) []int {
 		out = []int{}
 	}
 	return out
-}
-
-// Greedy suppresses, at each step, the column whose removal minimizes
-// the number of rows violating k-anonymity, until the projection is
-// k-anonymous. No approximation guarantee (the problem is as hard as
-// set cover), but fast: O(m² · n) key construction.
-func Greedy(t *relation.Table, k int) (*Result, error) {
-	m := t.Degree()
-	if k < 1 {
-		return nil, fmt.Errorf("attribute: k = %d < 1", k)
-	}
-	if t.Len() < k {
-		return nil, fmt.Errorf("attribute: n = %d < k = %d", t.Len(), k)
-	}
-	dropped := make([]bool, m)
-	violations := func() int {
-		counts := make(map[string]int, t.Len())
-		keys := make([]string, t.Len())
-		for i := 0; i < t.Len(); i++ {
-			key := projKey(t.Row(i), dropped)
-			keys[i] = key
-			counts[key]++
-		}
-		bad := 0
-		for _, key := range keys {
-			if counts[key] < k {
-				bad++
-			}
-		}
-		return bad
-	}
-	var out []int
-	for violations() > 0 {
-		bestJ, bestBad := -1, -1
-		for j := 0; j < m; j++ {
-			if dropped[j] {
-				continue
-			}
-			dropped[j] = true
-			bad := violations()
-			dropped[j] = false
-			if bestBad == -1 || bad < bestBad {
-				bestJ, bestBad = j, bad
-			}
-		}
-		if bestJ == -1 {
-			return nil, fmt.Errorf("attribute: internal: violations remain with all columns dropped")
-		}
-		dropped[bestJ] = true
-		out = append(out, bestJ)
-	}
-	if out == nil {
-		out = []int{}
-	}
-	return &Result{Dropped: out, Optimal: false}, nil
 }

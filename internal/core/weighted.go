@@ -77,15 +77,6 @@ func AnonWeighted(t *relation.Table, indices []int, w Weights) int {
 	return cost
 }
 
-// CostWeighted returns Σ_{S∈p} AnonWeighted(S).
-func (p *Partition) CostWeighted(t *relation.Table, w Weights) int {
-	total := 0
-	for _, g := range p.Groups {
-		total += AnonWeighted(t, g, w)
-	}
-	return total
-}
-
 // WeightedStars returns the weighted objective value of a suppressor:
 // Σ over suppressed entries (i, j) of w_j.
 func (s *Suppressor) WeightedStars(w Weights) int {

@@ -82,8 +82,12 @@ func TestCostWeightedAndWeightedStars(t *testing.T) {
 	p := Partition{Groups: [][]int{{0, 1}, {2, 3}}}
 	w := Weights{5, 1}
 	// Each group: column 1 non-uniform (weight 1) × 2 rows = 2; total 4.
-	if got := p.CostWeighted(tab, w); got != 4 {
-		t.Errorf("CostWeighted = %d, want 4", got)
+	total := 0
+	for _, g := range p.Groups {
+		total += AnonWeighted(tab, g, w)
+	}
+	if total != 4 {
+		t.Errorf("Σ AnonWeighted = %d, want 4", total)
 	}
 	sup := p.Suppressor(tab)
 	if got := sup.WeightedStars(w); got != 4 {

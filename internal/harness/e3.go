@@ -7,6 +7,7 @@ import (
 
 	"kanon/internal/algo"
 	"kanon/internal/dataset"
+	"kanon/internal/obs"
 	"kanon/internal/stream"
 )
 
@@ -38,8 +39,9 @@ func runE3(cfg Config) ([]*Table, error) {
 		for _, n := range exhaustiveNs[k] {
 			rng := rand.New(rand.NewSource(cfg.seed() + int64(n*10+k)))
 			tab := dataset.Census(rng, n, 8)
+			tr := obs.New()
 			start := time.Now()
-			r, err := algo.GreedyExhaustive(tab, k, nil)
+			r, err := algo.GreedyExhaustive(tab, k, &algo.Options{Trace: tr.Start("e3")})
 			total := time.Since(start)
 			if err != nil {
 				// The family guard fired: record the wall and stop.
@@ -47,21 +49,22 @@ func runE3(cfg Config) ([]*Table, error) {
 				break
 			}
 			t.AddRow("exhaustive", itoa(k), itoa(n), itoa(r.Stats.FamilySize),
-				dur(r.Stats.PhaseCover), dur(total), itoa(r.Cost))
+				dur(coverTime(tr)), dur(total), itoa(r.Cost))
 		}
 	}
 	for _, k := range []int{2, 3} {
 		for _, n := range ballNs {
 			rng := rand.New(rand.NewSource(cfg.seed() + int64(n*10+k)))
 			tab := dataset.Census(rng, n, 8)
+			tr := obs.New()
 			start := time.Now()
-			r, err := algo.GreedyBall(tab, k, &algo.Options{Workers: cfg.Workers})
+			r, err := algo.GreedyBall(tab, k, &algo.Options{Workers: cfg.Workers, Trace: tr.Start("e3")})
 			if err != nil {
 				return nil, err
 			}
 			total := time.Since(start)
 			t.AddRow("ball", itoa(k), itoa(n), "implicit",
-				dur(r.Stats.PhaseCover), dur(total), itoa(r.Cost))
+				dur(coverTime(tr)), dur(total), itoa(r.Cost))
 		}
 	}
 
@@ -93,14 +96,15 @@ func runE3(cfg Config) ([]*Table, error) {
 	for _, w := range workerSweep() {
 		rng := rand.New(rand.NewSource(cfg.seed() + int64(sweepN*10+3)))
 		tab := dataset.Census(rng, sweepN, 8)
+		tr := obs.New()
 		start := time.Now()
-		r, err := algo.GreedyBall(tab, 3, &algo.Options{Workers: w})
+		r, err := algo.GreedyBall(tab, 3, &algo.Options{Workers: w, Trace: tr.Start("e3")})
 		if err != nil {
 			return nil, err
 		}
 		total := time.Since(start)
 		t.AddRow("ball(workers="+itoa(w)+")", "3", itoa(sweepN), "implicit",
-			dur(r.Stats.PhaseCover), dur(total), itoa(r.Cost))
+			dur(coverTime(tr)), dur(total), itoa(r.Cost))
 	}
 	for _, w := range workerSweep() {
 		rng := rand.New(rand.NewSource(cfg.seed() + int64(10*sweepN)))
@@ -115,6 +119,17 @@ func runE3(cfg Config) ([]*Table, error) {
 			"-", dur(total), itoa(sr.Cost))
 	}
 	return []*Table{t}, nil
+}
+
+// coverTime is Phase 1's wall time: the algo.cover span of the one run
+// traced under tr's root.
+func coverTime(tr *obs.Tracer) time.Duration {
+	for _, sp := range tr.Snapshot().Spans[0].Children {
+		if sp.Name == "algo.cover" {
+			return time.Duration(sp.DurNS)
+		}
+	}
+	return 0
 }
 
 // workerSweep returns 1, 2, 4, ... up to and including NumCPU (deduped

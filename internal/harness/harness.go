@@ -188,24 +188,6 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment and writes the tables to w.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, e := range All() {
-		start := time.Now()
-		tables, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("harness: %s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			if err := t.Render(w); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(w, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
 // f1, f2, f3 format floats at fixed precision for table cells.
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }

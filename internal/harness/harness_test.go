@@ -188,25 +188,6 @@ func TestAllOrdered(t *testing.T) {
 	}
 }
 
-func TestRunAllQuickWritesEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick suite")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(Config{Quick: true}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, e := range All() {
-		if !strings.Contains(out, "== "+e.ID+":") {
-			t.Errorf("RunAll output missing %s", e.ID)
-		}
-		if !strings.Contains(out, "("+e.ID+" completed in") {
-			t.Errorf("RunAll output missing %s timing line", e.ID)
-		}
-	}
-}
-
 func TestRenderMarkdown(t *testing.T) {
 	tbl := &Table{
 		ID:     "EX",

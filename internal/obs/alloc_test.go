@@ -7,11 +7,13 @@ import (
 
 // TestDisabledInstrumentsAllocateNothing extends the zero-allocation
 // pin to the telemetry-export instruments: a nil Histogram, Progress,
-// and Events must cost a nil check and nothing else.
+// and Events, and a nil span's narration, must cost a nil check and
+// nothing else.
 func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 	var h *Histogram
 	var p *Progress
 	var ev *Events
+	var sp *Span
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(42)
 		h.ObserveDuration(time.Millisecond)
@@ -20,9 +22,9 @@ func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 		p.SetTotal(10)
 		p.Add(1)
 		ev.RunStart("a", 1, 2, 3)
-		ev.PhaseStart("p")
-		ev.PhaseDone("p", time.Millisecond)
-		ev.Anomaly("k", 7)
+		sp.Narrate(ev)
+		sp.Anomaly("k", 7)
+		_ = sp.End()
 		ev.RunDone(0, time.Millisecond)
 	})
 	if allocs != 0 {
@@ -42,7 +44,8 @@ func BenchmarkDisabledInstruments(b *testing.B) {
 		sp := tr.Start("x")
 		h.Observe(int64(i))
 		p.Add(1)
-		ev.PhaseStart("p")
+		sp.Narrate(ev)
+		sp.Anomaly("k", 7)
 		sp.End()
 	}
 }

@@ -21,7 +21,8 @@ import (
 const JournalVersion = "kanon-events/1"
 
 // The closed journal event vocabulary: one constant per lifecycle edge.
-// Phase events reuse the Events log vocabulary (phase_start/phase_done);
+// The phase edges bracket a run's compute as phase_start and
+// phase_done (the name narrated spans also log their ends under);
 // terminal events share their textual form with the job states. The
 // server logs each event under the same name.
 const (
@@ -34,8 +35,8 @@ const (
 	EvLeaseLost           = "lease_lost"
 	EvCheckpointCommitted = "checkpoint_committed"
 	EvCheckpointResumed   = "checkpoint_resumed"
-	EvPhaseStart          = "phase_start"
-	EvPhaseDone           = "phase_done"
+	EvPhaseBegin          = "phase_start"
+	EvPhaseEnd            = "phase_done"
 	EvCancelRequested     = "cancel_requested"
 	EvCanceled            = "canceled"
 	EvSucceeded           = "succeeded"
@@ -53,8 +54,8 @@ var validJournalEvents = map[string]bool{
 	EvLeaseLost:           true,
 	EvCheckpointCommitted: true,
 	EvCheckpointResumed:   true,
-	EvPhaseStart:          true,
-	EvPhaseDone:           true,
+	EvPhaseBegin:          true,
+	EvPhaseEnd:            true,
 	EvCancelRequested:     true,
 	EvCanceled:            true,
 	EvSucceeded:           true,

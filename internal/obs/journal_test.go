@@ -12,7 +12,7 @@ func journalFixture() []JournalEvent {
 	return []JournalEvent{
 		{Event: EvSubmitted, TS: t0, Detail: "algo=ball k=3 rows=100"},
 		{Event: EvClaimed, TS: t0.Add(time.Second), Node: "node-a", Fence: 1},
-		{Event: EvPhaseStart, TS: t0.Add(time.Second), Node: "node-a", Phase: "anonymize"},
+		{Event: EvPhaseBegin, TS: t0.Add(time.Second), Node: "node-a", Phase: "anonymize"},
 		{Event: EvCheckpointCommitted, TS: t0.Add(2 * time.Second), Node: "node-a", Detail: "block [0,64) cost=7"},
 		{Event: EvLeaseExpired, TS: t0.Add(20 * time.Second), Node: "node-a", Fence: 1},
 		{Event: EvLeaseStolen, TS: t0.Add(20 * time.Second), Node: "node-b", Fence: 2, Detail: "from node-a"},

@@ -10,14 +10,18 @@ import (
 	"time"
 )
 
-// Events is the structured event log of one run: run and phase
-// boundaries and anomalies, emitted through a caller-supplied
-// *slog.Logger (typically a JSON handler) with the run ID attached to
-// every record. It complements the tracer — spans measure, events
-// narrate — and follows the same contract: a nil *Events is disabled,
-// every method on it is a nil-check no-op with fixed (non-variadic)
-// arguments, so the disabled path performs zero allocations and the
-// released output is byte-identical with logging on or off.
+// Events is the structured event log of one run, emitted through a
+// caller-supplied *slog.Logger (typically a JSON handler) with the run
+// ID attached to every record. The facade logs the run's boundaries
+// (run_start, run_done, run_error) itself; everything else reaches the
+// log through the spans: a span subtree marked with Span.Narrate logs
+// one phase_done per span end, at Debug, and the hand-written anomalies
+// through Span.Anomaly, at Warn. Spans measure and narrate; Events only
+// formats. It follows the tracer's contract: a nil *Events is
+// disabled, every method on it is a nil-check no-op with fixed
+// (non-variadic) arguments, so the disabled path performs zero
+// allocations and the released output is byte-identical with logging
+// on or off.
 type Events struct {
 	l *slog.Logger
 }
@@ -72,34 +76,21 @@ func (e *Events) RunError(err error) {
 		slog.String("error", err.Error()))
 }
 
-// PhaseStart marks a phase (matrix fill, cover, reduce, …) beginning.
-func (e *Events) PhaseStart(phase string) {
+// phaseDone records a narrated span's end: the span name as the phase
+// and its frozen duration.
+func (e *Events) phaseDone(phase string, d time.Duration) {
 	if e == nil {
 		return
 	}
-	e.l.LogAttrs(context.Background(), slog.LevelInfo, "phase_start",
-		slog.String("phase", phase))
-}
-
-// PhaseDone marks a phase finishing with its measured duration.
-func (e *Events) PhaseDone(phase string, d time.Duration) {
-	if e == nil {
-		return
-	}
-	e.l.LogAttrs(context.Background(), slog.LevelInfo, "phase_done",
+	e.l.LogAttrs(context.Background(), slog.LevelDebug, "phase_done",
 		slog.String("phase", phase), slog.Duration("wall", d))
 }
 
-// Anomaly records an unusual-but-handled condition (matrix widening,
-// oversize-group split fallbacks, block-size raises) with a magnitude.
-func (e *Events) Anomaly(kind string, magnitude int64) {
+// anomaly records an unusual-but-handled condition with a magnitude.
+func (e *Events) anomaly(kind string, magnitude int64) {
 	if e == nil {
 		return
 	}
 	e.l.LogAttrs(context.Background(), slog.LevelWarn, "anomaly",
 		slog.String("kind", kind), slog.Int64("magnitude", magnitude))
 }
-
-// Enabled reports whether events are being recorded — for callers that
-// must do real work (formatting, hashing) before logging.
-func (e *Events) Enabled() bool { return e != nil }

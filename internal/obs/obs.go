@@ -6,6 +6,12 @@
 // their instrumentation through this package; the public facade exposes
 // the result as kanon.Result.Stats and the CLIs render it with -trace.
 //
+// Spans are the only clock and the only narrator. A span measures its
+// phase, End hands the frozen duration to callers that record it
+// elsewhere, and a subtree marked with Narrate logs one phase_done line
+// per span end through the run's Events, so the log cannot disagree
+// with the trace.
+//
 // Everything is nil-safe by construction: a nil *Tracer is the disabled
 // tracer, a nil *Span or *Counter is a disabled instrument, and every
 // method on them is a nil-check no-op. Instrumented code therefore
@@ -100,7 +106,7 @@ func (t *Tracer) Gauge(name string) *Gauge {
 // Span is one timed region of a run. Spans form a tree: children are
 // opened with Start and may be created concurrently (the stream workers
 // open block spans under one parent). A nil *Span is disabled — Start
-// returns nil, End does nothing, and no clock is read.
+// returns nil, End returns 0, and no clock is read.
 type Span struct {
 	tr       *Tracer
 	name     string
@@ -108,46 +114,69 @@ type Span struct {
 	dur      time.Duration
 	ended    bool
 	children []*Span
-	attached []SpanSnapshot
+	ev       *Events // narrator, inherited by every child at Start
 }
 
-// Start opens a child span under s.
+// Start opens a child span under s. The child narrates if s does.
 func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{tr: s.tr, name: name, start: time.Now()}
 	s.tr.mu.Lock()
+	c.ev = s.ev
 	s.children = append(s.children, c)
 	s.tr.mu.Unlock()
 	return c
 }
 
-// End freezes the span's duration. The first End wins; later calls are
-// no-ops, so `defer sp.End()` composes with early explicit Ends.
-func (s *Span) End() {
+// End freezes the span's duration and returns it. The first End wins
+// and, on a narrated span, logs its phase_done line; later calls return
+// the frozen duration, so `defer sp.End()` composes with early explicit
+// Ends.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	d := time.Since(s.start)
 	s.tr.mu.Lock()
-	if !s.ended {
+	first := !s.ended
+	if first {
 		s.ended = true
 		s.dur = d
 	}
+	d, ev := s.dur, s.ev
 	s.tr.mu.Unlock()
+	if first {
+		ev.phaseDone(s.name, d)
+	}
+	return d
 }
 
-// Attach grafts pre-measured span snapshots under s as extra children —
-// how the CLI splices the facade's Result.Stats subtree into its own
-// whole-run tree. Attached snapshots keep their recorded durations.
-func (s *Span) Attach(children ...SpanSnapshot) {
-	if s == nil || len(children) == 0 {
+// Narrate marks s and every span started under it from now on to log
+// through ev: one phase_done line per span, named after the span, when
+// it first ends, and the anomalies reported with Anomaly. A nil ev
+// silences the subtree again.
+func (s *Span) Narrate(ev *Events) {
+	if s == nil {
 		return
 	}
 	s.tr.mu.Lock()
-	s.attached = append(s.attached, children...)
+	s.ev = ev
 	s.tr.mu.Unlock()
+}
+
+// Anomaly logs an unusual-but-handled condition (matrix widening,
+// oversize-group splits, block-size raises, invalid checkpoints) with a
+// magnitude through the span's narrator; a no-op unless s narrates.
+func (s *Span) Anomaly(kind string, magnitude int64) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	ev := s.ev
+	s.tr.mu.Unlock()
+	ev.anomaly(kind, magnitude)
 }
 
 // Counter is shorthand for s.Tracer().Counter(name); nil-safe.

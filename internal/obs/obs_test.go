@@ -53,11 +53,17 @@ func TestSpanNesting(t *testing.T) {
 func TestEndIsIdempotent(t *testing.T) {
 	tr := New()
 	sp := tr.Start("s")
-	sp.End()
-	first := tr.Snapshot().Spans[0].DurNS
+	first := sp.End()
+	if got := tr.Snapshot().Spans[0].DurNS; got != first.Nanoseconds() {
+		t.Errorf("End returned %d, snapshot holds %d", first, got)
+	}
 	time.Sleep(2 * time.Millisecond)
-	sp.End() // must not extend the span
-	if again := tr.Snapshot().Spans[0].DurNS; again != first {
+	// A second End must not extend the span, and returns the frozen
+	// duration.
+	if again := sp.End(); again != first {
+		t.Errorf("second End returned %d, want %d", again, first)
+	}
+	if again := tr.Snapshot().Spans[0].DurNS; again != first.Nanoseconds() {
 		t.Errorf("second End changed duration: %d → %d", first, again)
 	}
 }
@@ -175,8 +181,11 @@ func TestNilSafety(t *testing.T) {
 	if child != nil {
 		t.Fatal("nil span returned live child")
 	}
-	sp.End()
-	sp.Attach(SpanSnapshot{Name: "x"})
+	if sp.End() != 0 {
+		t.Error("nil span ended with a duration")
+	}
+	sp.Narrate(nil)
+	sp.Anomaly("k", 1)
 	c := sp.Counter("n")
 	c.Add(5)
 	c.Inc()
@@ -196,9 +205,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil tracer produced snapshot")
 	}
 	var ns *Snapshot
-	if ns.SpanTotalNS() != 0 {
-		t.Error("nil snapshot has span total")
-	}
 	ns.Merge(&Snapshot{Counters: map[string]int64{"a": 1}})
 	if err := ns.WriteTree(io.Discard); err != nil {
 		t.Errorf("nil snapshot WriteTree: %v", err)

@@ -91,7 +91,7 @@ func (t *Tracer) Snapshot() *Snapshot {
 }
 
 // snapSpan freezes s relative to parentStart; caller holds t.mu (child
-// lists and attachments are only mutated under it).
+// lists are only mutated under it).
 func snapSpan(s *Span, parentStart, now time.Time) SpanSnapshot {
 	d := s.dur
 	if !s.ended {
@@ -106,7 +106,6 @@ func snapSpan(s *Span, parentStart, now time.Time) SpanSnapshot {
 	for _, c := range s.children {
 		out.Children = append(out.Children, snapSpan(c, s.start, now))
 	}
-	out.Children = append(out.Children, s.attached...)
 	sort.SliceStable(out.Children, func(a, b int) bool {
 		return out.Children[a].StartNS < out.Children[b].StartNS
 	})
@@ -118,11 +117,9 @@ func snapSpan(s *Span, parentStart, now time.Time) SpanSnapshot {
 // the furthest state. Span roots from other are appended and the
 // combined roots ordered by wall-clock anchor, so the two segments of a
 // stolen job — recorded by different processes whose monotonic clocks
-// don't compare — stitch into one chronological timeline. (To nest
-// subtrees under a live span instead, graft with Span.Attach before
-// snapshotting.) Used by the CLI to combine its own whole-run tracer
-// with the facade's Stats, and by the server to stitch cross-node job
-// traces.
+// don't compare — stitch into one chronological timeline. Used by the
+// server to stitch cross-node job traces and by WritePrometheusNodes
+// to fold repeated scrapes of one node.
 func (s *Snapshot) Merge(other *Snapshot) {
 	if s == nil || other == nil {
 		return
@@ -184,20 +181,6 @@ func (s *Snapshot) Merge(other *Snapshot) {
 		}
 		s.Progress[name] = cur
 	}
-}
-
-// SpanTotalNS sums the durations of the root spans — "how much time the
-// trace accounts for", the quantity the CI acceptance check compares
-// against wall time.
-func (s *Snapshot) SpanTotalNS() int64 {
-	if s == nil {
-		return 0
-	}
-	var total int64
-	for _, r := range s.Spans {
-		total += r.DurNS
-	}
-	return total
 }
 
 // WriteTree renders the snapshot as a human-readable phase tree —

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"kanon/internal/core"
 	"kanon/internal/cover"
@@ -180,42 +179,4 @@ func patternKey(r relation.Row, pat int) string {
 		b = append(b, byte(j), byte(v), byte(v>>8))
 	}
 	return string(b)
-}
-
-// BestSingleGroup returns, for diagnostics, the cheapest single
-// candidate group (pattern, bucket) covering a given row, or an error if
-// none of size ≥ k exists (cannot happen for n ≥ k: the empty pattern
-// buckets all rows together).
-func BestSingleGroup(t *relation.Table, k, row int) (members []int, weight int, err error) {
-	n, m := t.Len(), t.Degree()
-	if row < 0 || row >= n {
-		return nil, 0, fmt.Errorf("pattern: row %d out of range", row)
-	}
-	if m > MaxColumns {
-		return nil, 0, fmt.Errorf("pattern: m = %d exceeds limit %d", m, MaxColumns)
-	}
-	bestW := -1
-	var best []int
-	for pat := 0; pat < 1<<uint(m); pat++ {
-		starCols := m - bits.OnesCount(uint(pat))
-		key := patternKey(t.Row(row), pat)
-		var g []int
-		for i := 0; i < n; i++ {
-			if patternKey(t.Row(i), pat) == key {
-				g = append(g, i)
-			}
-		}
-		if len(g) < k {
-			continue
-		}
-		w := len(g) * starCols
-		if bestW == -1 || w < bestW {
-			bestW, best = w, g
-		}
-	}
-	if bestW == -1 {
-		return nil, 0, fmt.Errorf("pattern: no group of size ≥ %d covers row %d", k, row)
-	}
-	sort.Ints(best)
-	return best, bestW, nil
 }

@@ -84,21 +84,3 @@ func TestNearOptimalOnSmallInstances(t *testing.T) {
 		}
 	}
 }
-
-func TestBestSingleGroup(t *testing.T) {
-	tab := relation.MustFromVectors([][]int{
-		{1, 9}, {1, 8}, {2, 7}, {2, 6},
-	})
-	// Row 0's cheapest ≥2-group: keep column 0 (value 1) → rows {0,1},
-	// starring column 1: weight 2·1 = 2.
-	members, weight, err := BestSingleGroup(tab, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weight != 2 || len(members) != 2 || members[0] != 0 || members[1] != 1 {
-		t.Errorf("got members=%v weight=%d, want [0 1] weight 2", members, weight)
-	}
-	if _, _, err := BestSingleGroup(tab, 2, 99); err == nil {
-		t.Error("accepted out-of-range row")
-	}
-}

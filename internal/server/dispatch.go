@@ -345,7 +345,7 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest) {
 	root := m.startJobObs(job)
 	m.record(job.ID, obs.JournalEvent{Event: obs.EvClaimed, Fence: fence,
 		Detail: fmt.Sprintf("algo=%s k=%d queue_wait=%s", job.Req.Algorithm, job.Req.K, wait)})
-	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseStart, Phase: "anonymize"})
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseBegin, Phase: "anonymize"})
 
 	var lost, userCancel atomic.Bool
 	renewStop := make(chan struct{})
@@ -356,7 +356,7 @@ func (m *Manager) runClaimed(job *Job, man *store.Manifest) {
 	close(renewStop)
 	<-renewDone
 
-	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseDone, Phase: "anonymize"})
+	m.record(job.ID, obs.JournalEvent{Event: obs.EvPhaseEnd, Phase: "anonymize"})
 	// The final flush is fenced: after a loss the thief owns trace.json,
 	// and the store refuses this node's late write instead of letting it
 	// overwrite the thief's fuller view.
@@ -403,7 +403,7 @@ func (m *Manager) execute(ctx context.Context, job *Job, fence uint64, root *obs
 		}
 		ckpt := &journalCheckpoint{inner: c, m: m, job: job, fence: fence}
 		return kanon.AnonymizeBlocks(ctx, job.header, job.rows, req.K, req.BlockRows, &kanon.Options{
-			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Span: root,
+			Kernel: req.Kernel, Refine: req.Refine, Workers: req.Workers, Log: m.cfg.Log, Span: root,
 		}, ckpt)
 	}
 	res, err := kanon.AnonymizeContext(ctx, job.header, job.rows, req.K, &kanon.Options{

@@ -29,8 +29,9 @@ func edgeKey(event, node string, fence uint64, phase, detail string) string {
 }
 
 // loggedEdges parses a JSON log into its lifecycle lines, as multisets
-// of edge keys by run_id. The compute's own phase lines share two event
-// names but carry the run ID the facade mints, so no job claims them.
+// of edge keys by run_id. The compute's own phase_done lines share an
+// event name but carry the run ID the facade mints, so no job claims
+// them.
 func loggedEdges(t *testing.T, log string) map[string]map[string]int {
 	t.Helper()
 	edges := make(map[string]map[string]int)
@@ -163,7 +164,7 @@ func TestLifecycleRecordsAgree(t *testing.T) {
 		}
 	}
 	for _, ev := range []string{obs.EvSubmitted, obs.EvClaimed, obs.EvLeaseRenewed, obs.EvLeaseExpired,
-		obs.EvLeaseStolen, obs.EvCheckpointCommitted, obs.EvPhaseStart, obs.EvPhaseDone,
+		obs.EvLeaseStolen, obs.EvCheckpointCommitted, obs.EvPhaseBegin, obs.EvPhaseEnd,
 		obs.EvCancelRequested, obs.EvCanceled, obs.EvSucceeded, obs.EvFailed} {
 		if counts[ev] == 0 {
 			t.Errorf("no %s event: the scenario lost an edge", ev)

@@ -46,8 +46,8 @@ var lifecycle = map[string]struct {
 	obs.EvLeaseLost:           {slog.LevelWarn, "server.leases_lost"},
 	obs.EvCheckpointCommitted: {slog.LevelDebug, ""},
 	obs.EvCheckpointResumed:   {slog.LevelDebug, ""},
-	obs.EvPhaseStart:          {slog.LevelDebug, ""},
-	obs.EvPhaseDone:           {slog.LevelDebug, ""},
+	obs.EvPhaseBegin:          {slog.LevelDebug, ""},
+	obs.EvPhaseEnd:            {slog.LevelDebug, ""},
 	obs.EvCancelRequested:     {slog.LevelInfo, ""},
 	obs.EvCanceled:            {slog.LevelInfo, "server.jobs_canceled"},
 	obs.EvSucceeded:           {slog.LevelInfo, "server.jobs_succeeded"},

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"path"
@@ -61,8 +62,8 @@ func TestJournalLifecycleSingleNode(t *testing.T) {
 		t.Fatalf("GET events: %d", code)
 	}
 	order := []string{
-		obs.EvSubmitted, obs.EvClaimed, obs.EvPhaseStart,
-		obs.EvCheckpointCommitted, obs.EvPhaseDone, obs.EvSucceeded,
+		obs.EvSubmitted, obs.EvClaimed, obs.EvPhaseBegin,
+		obs.EvCheckpointCommitted, obs.EvPhaseEnd, obs.EvSucceeded,
 	}
 	last := -1
 	for _, name := range order {
@@ -118,6 +119,37 @@ func TestEventsWithoutStore(t *testing.T) {
 	}
 	if len(snap.Spans) != 1 || snap.Spans[0].Name != "job" {
 		t.Errorf("trace without store roots = %+v, want one root named job", snap.Spans)
+	}
+}
+
+// TestJobsLogRunAtInfo: at kanond's default Info level, a whole-table
+// job and a block job each log the compute's run_start and run_done,
+// and no phase_done line: the narrated span ends and the job's own
+// phase edges are Debug.
+func TestJobsLogRunAtInfo(t *testing.T) {
+	header, rows, _ := smallInstance(t, 93)
+	for _, req := range []JobRequest{{K: 3}, {K: 3, BlockRows: 20}} {
+		var logs lockedBuffer
+		m := newTestManager(t, Config{Workers: 1, Log: slog.New(slog.NewJSONHandler(&logs, nil))})
+		job, err := m.Submit(header, rows, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		if st := job.Status(); st.State != StateSucceeded {
+			t.Fatalf("block=%d: %s %s", req.BlockRows, st.State, st.Error)
+		}
+		msgs := map[string]int{}
+		for _, ln := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+			var l struct{ Msg string }
+			if err := json.Unmarshal([]byte(ln), &l); err != nil {
+				t.Fatalf("log line %q: %v", ln, err)
+			}
+			msgs[l.Msg]++
+		}
+		if msgs["run_start"] != 1 || msgs["run_done"] != 1 || msgs["phase_done"] != 0 {
+			t.Errorf("block=%d: logged %v, want one run_start, one run_done and no phase_done", req.BlockRows, msgs)
+		}
 	}
 }
 

@@ -147,7 +147,11 @@ func TestRecoverCrashedStreamJob(t *testing.T) {
 	man.State = store.StateRunning
 	man.Cost = nil
 	man.FinishedAt = nil
-	if err := st.WriteManifest(man); err != nil {
+	b, err := store.EncodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Backend().WriteAtomic("jobs/"+job1.ID+"/manifest.json", b); err != nil {
 		t.Fatal(err)
 	}
 	jobDir := filepath.Join(st.Dir(), "jobs", job1.ID)

@@ -62,10 +62,9 @@ type Request struct {
 	// spec from the table.
 	Hierarchy any
 	// Trace is the parent span the solver's phase spans and counters
-	// attach under; nil disables instrumentation.
+	// attach under, and through which a narrated run logs them; nil
+	// disables instrumentation.
 	Trace *obs.Span
-	// Log receives structured run events; nil is silent.
-	Log *obs.Events
 }
 
 // Context returns the request's context, never nil.

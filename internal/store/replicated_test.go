@@ -356,7 +356,11 @@ func TestSyncMergesNewerFence(t *testing.T) {
 	m.State = StateSucceeded
 	m.Claim = nil
 	m.FinishedAt = &fin
-	if err := dst.WriteManifest(m); err != nil {
+	b, err := EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Backend().WriteAtomic("jobs/job-f/manifest.json", b); err != nil {
 		t.Fatal(err)
 	}
 	if err := repl.SyncOnce(time.Now()); err != nil {

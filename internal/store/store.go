@@ -110,16 +110,6 @@ func (s *Store) CreateJob(m *Manifest, header []string, rows [][]string) error {
 	return s.be.WriteAtomic(path.Join(dir, "manifest.json"), b)
 }
 
-// WriteManifest atomically replaces a job's manifest — the state
-// transition commit.
-func (s *Store) WriteManifest(m *Manifest) error {
-	b, err := EncodeManifest(m)
-	if err != nil {
-		return err
-	}
-	return s.be.WriteAtomic(path.Join(jobRel(m.ID), "manifest.json"), b)
-}
-
 // ReadManifest loads and validates one job's manifest.
 func (s *Store) ReadManifest(id string) (*Manifest, error) {
 	if err := ValidateID(id); err != nil {

@@ -178,7 +178,11 @@ func TestJobLifecycleOnDisk(t *testing.T) {
 
 	// Transition commit: the manifest file is replaced atomically.
 	m.State = StateRunning
-	if err := s.WriteManifest(m); err != nil {
+	b, err := EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Backend().WriteAtomic("jobs/job-a/manifest.json", b); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = s.ReadManifest("job-a"); err != nil || got.State != StateRunning {

@@ -18,7 +18,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"kanon/internal/algo"
 	"kanon/internal/metric"
@@ -72,13 +71,11 @@ type Options struct {
 	// Trace is the parent span instrumentation attaches under: a
 	// "stream" child span holding one span per block, a queue-depth
 	// gauge, worker-utilization counters, per-block latency/cost
-	// histograms, and a blocks-completed progress instrument. Nil
-	// disables it; the release is byte-identical either way.
+	// histograms, and a blocks-completed progress instrument. A
+	// narrated Trace also logs each span's end and the block_raised and
+	// checkpoint_invalid anomalies. Nil disables it; the release is
+	// byte-identical either way.
 	Trace *obs.Span
-	// Log receives structured events: block-size raises and invalid
-	// checkpoints. Nil (the default) is silent; events never steer the
-	// computation.
-	Log *obs.Events
 }
 
 // Checkpoint persists completed blocks so a crashed or cancelled pass
@@ -160,7 +157,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		block = 1024
 	}
 	if block < 2*k {
-		opt.Log.Anomaly("block_raised", int64(2*k-block))
+		opt.Trace.Anomaly("block_raised", int64(2*k-block))
 		block = 2 * k
 	}
 	bounds := blockBounds(n, k, block)
@@ -183,7 +180,7 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 				continue
 			}
 			if stat == nil || stat.Lo != lo || stat.Hi != hi || len(rows) != hi-lo || !rowsMatchDegree(rows, t.Degree()) {
-				opt.Log.Anomaly("checkpoint_invalid", int64(hi-lo))
+				opt.Trace.Anomaly("checkpoint_invalid", int64(hi-lo))
 				continue
 			}
 			results[bi] = blockResult{rows: rows, stat: *stat, resumed: true}
@@ -197,11 +194,12 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 	// span per block (opened by whichever worker claims it), gauges for
 	// blocks not yet finished and for the block and per-block worker
 	// counts, and busy-time counters from which worker
-	// utilization falls out as busy_ns / (workers · wall_ns). All of it
-	// is nil-safe no-ops when opt.Trace is nil, and none of it touches
-	// the block results, so the release stays byte-identical.
+	// utilization falls out as busy_ns / (workers · wall_ns), both read
+	// from the spans' durations. All of it is nil-safe no-ops when
+	// opt.Trace is nil, and none of it touches the block results, so
+	// the release stays byte-identical.
 	sp := opt.Trace.Start("stream")
-	defer sp.End()
+	defer func() { sp.Counter("stream.wall_ns").Add(int64(sp.End())) }()
 	queue := sp.Gauge("stream.queue_depth")
 	busy := sp.Counter("stream.worker_busy_ns")
 	blocksDone := sp.Counter("stream.blocks_done")
@@ -214,13 +212,6 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 	queue.Set(int64(pending))
 	sp.Gauge("stream.workers").Set(int64(workers))
 	sp.Gauge("stream.block_workers").Set(int64(blockWorkers))
-	passStart := time.Time{}
-	if sp != nil {
-		passStart = time.Now()
-		defer func() {
-			sp.Counter("stream.wall_ns").Add(int64(time.Since(passStart)))
-		}()
-	}
 
 	par.For(len(bounds), workers, func(_, bi int) {
 		if results[bi].resumed {
@@ -234,15 +225,13 @@ func Anonymize(t *relation.Table, k int, opt *Options) (*Result, error) {
 		var bs *obs.Span
 		if sp != nil {
 			bs = sp.Start(fmt.Sprintf("stream.block[%d,%d)", lo, hi))
-			blockStart := time.Now()
 			defer func() {
-				d := time.Since(blockStart)
+				d := bs.End()
 				busy.Add(int64(d))
 				blockNS.ObserveDuration(d)
 				queue.Add(-1)
 				blocksDone.Inc()
 				progress.Add(1)
-				bs.End()
 			}()
 		}
 		indices := make([]int, 0, hi-lo)

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strings"
-	"time"
 
 	"kanon/internal/core"
 	"kanon/internal/exact"
@@ -265,17 +264,18 @@ type Options struct {
 	// phase; on, the anonymized output is byte-identical — tracing
 	// observes the run, it never steers it.
 	Trace bool
-	// Span attaches this call's instrumentation under an external
-	// parent span instead of an internal tracer, so long-lived callers
-	// (the CLI's debug server, the progress ticker) observe the run
-	// live. Takes precedence over Trace; Result.Stats stays nil — the
+	// Span opens this call's "anonymize" span under an external parent
+	// instead of on an internal tracer, so long-lived callers (the
+	// CLI's debug server, the progress ticker) observe the run live.
+	// Takes precedence over Trace; Result.Stats stays nil — the
 	// external tracer owns the data. Same contract as Trace: the output
 	// is byte-identical with or without it.
 	Span *obs.Span
-	// Log emits structured run events (run start/done, phase
-	// boundaries, anomalies) through the given logger — typically a
-	// JSON handler — with a fresh run ID attached to every record. Nil
-	// (the default) is silent; logging never changes results.
+	// Log emits structured run events through the given logger —
+	// typically a JSON handler — with a fresh run ID attached to every
+	// record: run_start, then run_done or run_error at Info, one
+	// phase_done per span end of the call at Debug, and anomalies at
+	// Warn. Nil (the default) is silent; logging never changes results.
 	Log *slog.Logger
 }
 
@@ -341,36 +341,12 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ev := obs.NewEvents(opts.Log, obs.NewRunID())
-	var runStart time.Time
-	if ev.Enabled() {
-		runStart = time.Now()
-		ev.RunStart(opts.Algorithm.String(), len(rows), len(header), k)
-		defer func() {
-			if err != nil {
-				ev.RunError(err)
-			} else if res != nil {
-				ev.RunDone(res.Cost, time.Since(runStart))
-			}
-		}()
-	}
+	root, finish := startRun(opts, len(rows), len(header), k)
+	defer func() { res, err = finish(res, err) }()
 	t, err := buildTable(header, rows)
 	if err != nil {
 		return nil, err
 	}
-	// A nil tracer (and thus nil root span) disables every instrument
-	// below at the cost of one nil check per use. An external span
-	// takes precedence: instrumentation then attaches to the caller's
-	// tracer and Result.Stats stays nil.
-	var tr *obs.Tracer
-	var root *obs.Span
-	if opts.Span != nil {
-		root = opts.Span.Start("anonymize")
-	} else if opts.Trace {
-		tr = obs.New()
-		root = tr.Start("anonymize")
-	}
-	defer root.End() // idempotent; closes the span on error paths too
 	weights := core.Weights(opts.ColumnWeights)
 	if err := weights.Validate(t.Degree()); err != nil {
 		return nil, fmt.Errorf("kanon: %w", err)
@@ -401,13 +377,12 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 		MaxSuppress:         opts.MaxSuppress,
 		Hierarchy:           hspec,
 		Trace:               root,
-		Log:                 ev,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if sres.Partition == nil {
-		return finishDirect(t, header, k, opts, sres, root, tr, weights)
+		return finishDirect(t, header, k, sres, root, weights)
 	}
 	p, optimal := sres.Partition, sres.Optimal
 
@@ -437,15 +412,8 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 	}
 	p.Normalize()
 	cost := anon.TotalStars() - t.TotalStars()
-	var stats *Stats
-	if root != nil {
-		root.Counter("kanon.entries_suppressed").Add(int64(cost))
-		root.Counter("kanon.groups").Add(int64(len(p.Groups)))
-		root.End()
-	}
-	if tr != nil {
-		stats = tr.Snapshot()
-	}
+	root.Counter("kanon.entries_suppressed").Add(int64(cost))
+	root.Counter("kanon.groups").Add(int64(len(p.Groups)))
 	return &Result{
 		K:      k,
 		Header: append([]string(nil), header...),
@@ -456,7 +424,6 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 		Cost:         cost,
 		WeightedCost: weightedDelta(t, anon, weights),
 		Optimal:      optimal,
-		Stats:        stats,
 	}, nil
 }
 
@@ -465,19 +432,22 @@ func AnonymizeContext(ctx context.Context, header []string, rows [][]string, k i
 // in independent blocks of at most blockRows, each with the Theorem 4.2
 // greedy, and adapts the release to a Result whose groups are the
 // released table's textual equivalence classes. Of opts only Kernel,
-// Refine, Workers, Trace, Span and Log apply; a non-ball Algorithm,
-// ColumnWeights, Hierarchy or MaxSuppress is an error rather than
-// silently ignored. The Result is priced like AnonymizeContext's.
+// Refine, Workers, Trace, Span and Log apply, as they do for
+// AnonymizeContext; a non-ball Algorithm, ColumnWeights, Hierarchy or
+// MaxSuppress is an error rather than silently ignored. The Result is
+// priced like AnonymizeContext's.
 //
 // A non-nil ckpt makes the pass durable and resumable: each finished
 // block is spooled, and blocks a prior (crashed) run finished are
 // replayed rather than recomputed — byte-identically, because block
 // bounds and the per-block algorithm are deterministic. The int result
 // counts the replayed blocks.
-func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, blockRows int, opts *Options, ckpt stream.Checkpoint) (*Result, int, error) {
+func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, blockRows int, opts *Options, ckpt stream.Checkpoint) (res *Result, resumed int, err error) {
 	if opts == nil {
 		opts = &Options{}
 	}
+	root, finish := startRun(opts, len(rows), len(header), k)
+	defer func() { res, err = finish(res, err) }()
 	switch {
 	case opts.Algorithm != AlgoGreedyBall:
 		return nil, 0, fmt.Errorf("kanon: block streaming runs only %s, got %s", AlgoGreedyBall, opts.Algorithm)
@@ -488,14 +458,6 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 	if err != nil {
 		return nil, 0, err
 	}
-	// As in AnonymizeContext, an external span takes precedence and
-	// Result.Stats then stays nil.
-	trace := opts.Span
-	var tr *obs.Tracer
-	if trace == nil && opts.Trace {
-		tr = obs.New()
-		trace = tr.Start("anonymize")
-	}
 	sr, err := stream.Anonymize(t, k, &stream.Options{
 		Ctx:        ctx,
 		BlockRows:  blockRows,
@@ -503,8 +465,7 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 		Workers:    opts.Workers,
 		Kernel:     opts.Kernel.choice(),
 		Checkpoint: ckpt,
-		Trace:      trace,
-		Log:        obs.NewEvents(opts.Log, obs.NewRunID()),
+		Trace:      root,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -515,11 +476,6 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 	}
 	groups := core.FromAnonymized(sr.Anonymized)
 	groups.Normalize()
-	var stats *Stats
-	if tr != nil {
-		trace.End()
-		stats = tr.Snapshot()
-	}
 	// The blocks' costs count suppressor mask bits, which include
 	// entries the input already starred; the Result counts the star
 	// delta. Column weights are refused above, so WeightedCost = Cost.
@@ -531,8 +487,41 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 		Groups:       groups.Groups,
 		Cost:         cost,
 		WeightedCost: cost,
-		Stats:        stats,
 	}, sr.BlocksResumed, nil
+}
+
+// startRun opens one facade call's "anonymize" root span: under
+// opts.Span when it is set, otherwise on an internal tracer when Trace
+// or Log is set, and nil (disabling every instrument below it) when
+// none is. With Log set the root narrates and run_start is logged now.
+// The returned finish ends the root, logs run_done with the root's
+// duration or run_error, and fills Result.Stats under Trace when the
+// call owns its tracer.
+func startRun(opts *Options, n, m, k int) (*obs.Span, func(*Result, error) (*Result, error)) {
+	var ev *obs.Events
+	if opts.Log != nil {
+		ev = obs.NewEvents(opts.Log, obs.NewRunID())
+	}
+	var tr *obs.Tracer
+	root := opts.Span.Start("anonymize")
+	if opts.Span == nil && (opts.Trace || ev != nil) {
+		tr = obs.New()
+		root = tr.Start("anonymize")
+	}
+	root.Narrate(ev)
+	ev.RunStart(opts.Algorithm.String(), n, m, k)
+	return root, func(res *Result, err error) (*Result, error) {
+		wall := root.End()
+		if err != nil {
+			ev.RunError(err)
+			return nil, err
+		}
+		ev.RunDone(res.Cost, wall)
+		if opts.Trace {
+			res.Stats = tr.Snapshot() // nil under opts.Span
+		}
+		return res, nil
+	}
 }
 
 // finishDirect packages a direct-release solver result (the hierarchy
@@ -541,7 +530,7 @@ func AnonymizeBlocks(ctx context.Context, header []string, rows [][]string, k, b
 // with fully suppressed rows exempt from the size floor — an all-star
 // row carries no quasi-identifier to link, and the suppression budget
 // admits fewer than k of them.
-func finishDirect(t *relation.Table, header []string, k int, opts *Options, sres *solver.Result, root *obs.Span, tr *obs.Tracer, weights core.Weights) (*Result, error) {
+func finishDirect(t *relation.Table, header []string, k int, sres *solver.Result, root *obs.Span, weights core.Weights) (*Result, error) {
 	out := sres.Rows
 	if len(out) != t.Len() {
 		return nil, fmt.Errorf("kanon: internal: release has %d rows, input %d", len(out), t.Len())
@@ -577,15 +566,8 @@ func finishDirect(t *relation.Table, header []string, k int, opts *Options, sres
 	if cost != sres.Cost {
 		return nil, fmt.Errorf("kanon: internal: solver cost %d, recount %d", sres.Cost, cost)
 	}
-	var stats *Stats
-	if root != nil {
-		root.Counter("kanon.cells_generalized").Add(int64(cost))
-		root.Counter("kanon.groups").Add(int64(len(sres.Groups)))
-		root.End()
-	}
-	if tr != nil {
-		stats = tr.Snapshot()
-	}
+	root.Counter("kanon.cells_generalized").Add(int64(cost))
+	root.Counter("kanon.groups").Add(int64(len(sres.Groups)))
 	return &Result{
 		K:            k,
 		Header:       append([]string(nil), header...),
@@ -596,7 +578,6 @@ func finishDirect(t *relation.Table, header []string, k int, opts *Options, sres
 		NCP:          sres.NCP,
 		Suppressed:   sres.Suppressed,
 		Optimal:      sres.Optimal,
-		Stats:        stats,
 	}, nil
 }
 

@@ -10,6 +10,8 @@ package kanon_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -76,6 +78,90 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 }
 
+// TestEveryPathNarrates: with Trace and a Debug JSON Log, every span a
+// run opens ends in exactly one phase_done line, so the log's phases
+// are the trace's span names — for every registered solver, a refined
+// suppression run, and the block path with refine — all under the one
+// run ID of the run's run_start and run_done.
+func TestEveryPathNarrates(t *testing.T) {
+	header, rows := genTable(60, 5, 9)
+	smallHeader, smallRows := genTable(14, 4, 9) // exact and exhaustive
+	type path struct {
+		name string
+		run  func(*kanon.Options) (*kanon.Result, error)
+	}
+	var paths []path
+	for _, name := range kanon.AlgorithmNames() {
+		alg, err := kanon.ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, r := header, rows
+		if alg == kanon.AlgoExact || alg == kanon.AlgoGreedyExhaustive {
+			h, r = smallHeader, smallRows
+		}
+		paths = append(paths, path{name, func(o *kanon.Options) (*kanon.Result, error) {
+			o.Algorithm = alg
+			return kanon.Anonymize(h, r, 3, o)
+		}})
+	}
+	paths = append(paths,
+		path{"mondrian+refine", func(o *kanon.Options) (*kanon.Result, error) {
+			o.Algorithm, o.Refine = kanon.AlgoMondrian, true
+			return kanon.Anonymize(header, rows, 3, o)
+		}},
+		path{"blocks+refine", func(o *kanon.Options) (*kanon.Result, error) {
+			o.Refine = true
+			res, _, err := kanon.AnonymizeBlocks(context.Background(), header, rows, 3, 24, o, nil)
+			return res, err
+		}})
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			var logBuf bytes.Buffer
+			res, err := p.run(&kanon.Options{
+				Trace: true,
+				Log:   slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]int{}
+			var walk func([]obs.SpanSnapshot)
+			walk = func(spans []obs.SpanSnapshot) {
+				for _, sp := range spans {
+					want[sp.Name]++
+					walk(sp.Children)
+				}
+			}
+			walk(res.Stats.Spans)
+			got := map[string]int{}
+			runs := map[string]int{}
+			ids := map[string]bool{}
+			for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+				var rec struct {
+					Msg, Phase string
+					RunID      string `json:"run_id"`
+				}
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("log line %q: %v", line, err)
+				}
+				ids[rec.RunID] = true
+				if rec.Msg == "phase_done" {
+					got[rec.Phase]++
+				} else {
+					runs[rec.Msg]++
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("phase_done phases %v, want the span names %v", got, want)
+			}
+			if runs["run_start"] != 1 || runs["run_done"] != 1 || len(ids) != 1 {
+				t.Errorf("run lines %v under run IDs %v, want one run_start and one run_done under one ID", runs, ids)
+			}
+		})
+	}
+}
+
 // TestStreamTelemetryDeterminism covers the worker-pool path: block
 // histograms, progress, and the event log must not perturb the
 // streamed release.
@@ -89,9 +175,9 @@ func TestStreamTelemetryDeterminism(t *testing.T) {
 		tr := obs.New()
 		root := tr.Start("run")
 		var logBuf bytes.Buffer
-		ev := obs.NewEvents(slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})), "strm")
+		root.Narrate(obs.NewEvents(slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})), "strm"))
 		res, err := stream.Anonymize(tbl, 3, &stream.Options{
-			BlockRows: 64, Workers: workers, Trace: root, Log: ev,
+			BlockRows: 64, Workers: workers, Trace: root,
 		})
 		if err != nil {
 			t.Fatal(err)
